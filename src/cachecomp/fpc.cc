@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/simd.hh"
-
 namespace zcomp {
 
 namespace {
@@ -82,26 +80,6 @@ fpcLineBits(const uint8_t *line)
 {
     int bits = 0;
     int zero_run = 0;
-    uint8_t wbits[16];
-    uint16_t zmask = 0;
-    if (simd::fpcBitsLine(line, wbits, zmask)) {
-        // All sixteen words classified at once; only the sequential
-        // zero-run state machine remains scalar.
-        for (int w = 0; w < 16; w++) {
-            if ((zmask >> w) & 1) {
-                if (zero_run == 0 || zero_run == 8) {
-                    bits += 3 + 3;
-                    zero_run = 1;
-                } else {
-                    zero_run++;
-                }
-                continue;
-            }
-            zero_run = 0;
-            bits += 3 + wbits[w];
-        }
-        return bits;
-    }
     for (int w = 0; w < 16; w++) {
         uint32_t word = 0;
         std::memcpy(&word, line + w * 4, 4);

@@ -4,21 +4,12 @@
 #include <cstring>
 
 #include "cachecomp/fpc.hh"
-#include "common/simd.hh"
 
 namespace zcomp {
 
 int
 fpcdLineBytes(const uint8_t *line)
 {
-    // Batch-classify the whole line up front when a vector backend is
-    // active; the FIFO dictionary scan below stays scalar (it is
-    // sequential by construction) but then only needs a table lookup
-    // for each word that misses the dictionary.
-    uint8_t wbits[16];
-    uint16_t zmask = 0;
-    const bool classified = simd::fpcBitsLine(line, wbits, zmask);
-
     // Small FIFO dictionary of recent in-line words.
     uint32_t dict[fpcdDictEntries] = {};
     int dict_fill = 0;
@@ -51,9 +42,7 @@ fpcdLineBytes(const uint8_t *line)
         } else if (partial) {
             payload_bits += 1 + 8;  // index + low byte
         } else {
-            payload_bits += classified
-                ? wbits[w]
-                : fpcPayloadBits(fpcClassify(word));
+            payload_bits += fpcPayloadBits(fpcClassify(word));
         }
         if (!full) {
             dict[next_slot] = word;

@@ -11,13 +11,10 @@
  *    (integer test), LTEZ keeps raw != 0 && sign-bit clear, which for
  *    an N-bit lane is exactly the signed integer compare lane > 0.
  *  - pack/unpack: exact byte moves; no lane is reinterpreted as FP.
- *  - countNonzeroF32/vecNnzF32: the scalar loops use `d[i] != 0.0f`,
- *    i.e. an IEEE unordered-quiet NEQ (-0.0f is zero, NaN is nonzero)
- *    == _CMP_NEQ_UQ.
  *  - axpyF32/dotPanel16F32: the build's baseline ISA has no FMA, so
  *    scalar code compiles to separate multiply + add; the kernels use
- *    separate _mm*_mul_ps / _mm*_add_ps in the same operand order and
- *    the same ascending accumulation order. GCC's mul/add intrinsics
+ *    separate _mm512_mul_ps / _mm512_add_ps in the same operand order
+ *    and the same ascending accumulation order. GCC's mul/add intrinsics
  *    lower to plain vector operators, and target("avx512f") enables
  *    FMA, so this file is compiled with -ffp-contract=off (see the
  *    CMakeLists rule) to stop GCC fusing those pairs into vfmadd.
@@ -50,226 +47,6 @@ namespace simd {
 namespace {
 
 #if ZCOMP_SIMD_X86
-
-// ---------------------------------------------------------------- AVX2
-// Lookup tables for 32-bit-lane compress/expand emulation (AVX2 has no
-// compress instruction; we permute through an index table and store
-// through a lane-count mask so no byte outside the payload is touched).
-struct Avx2Tables
-{
-    alignas(32) int32_t packIdx[256][8] {};
-    alignas(32) int32_t unpackIdx[256][8] {};
-    alignas(32) int32_t laneMask[256][8] {};
-    alignas(32) int32_t cntMask[9][8] {};
-
-    constexpr Avx2Tables()
-    {
-        for (int m = 0; m < 256; m++) {
-            int out = 0;
-            for (int i = 0; i < 8; i++) {
-                if ((m >> i) & 1) {
-                    packIdx[m][out] = i;
-                    unpackIdx[m][i] = out;
-                    laneMask[m][i] = -1;
-                    out++;
-                }
-            }
-        }
-        for (int c = 0; c <= 8; c++)
-            for (int i = 0; i < c; i++)
-                cntMask[c][i] = -1;
-    }
-};
-
-constexpr Avx2Tables g_avx2;
-
-/** Spread the low 4 bits of m to bit pairs: bit i -> bits 2i, 2i+1. */
-constexpr uint32_t kPairExpand[16] = {
-    0x00, 0x03, 0x0c, 0x0f, 0x30, 0x33, 0x3c, 0x3f,
-    0xc0, 0xc3, 0xcc, 0xcf, 0xf0, 0xf3, 0xfc, 0xff,
-};
-
-__attribute__((target("avx2")))
-uint64_t
-laneHeaderAvx2(const uint8_t *vec, int elemBytes, bool dropNonPositive)
-{
-    const __m256i zero = _mm256_setzero_si256();
-    uint64_t header = 0;
-    for (int h = 0; h < 2; h++) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(vec + 32 * h));
-        uint32_t bits;
-        if (elemBytes == 4) {
-            const __m256i cmp = dropNonPositive
-                ? _mm256_cmpgt_epi32(v, zero)
-                : _mm256_cmpeq_epi32(v, zero);
-            bits = static_cast<uint32_t>(
-                _mm256_movemask_ps(_mm256_castsi256_ps(cmp)));
-            if (!dropNonPositive)
-                bits = ~bits & 0xffu;
-            header |= static_cast<uint64_t>(bits) << (8 * h);
-        } else { // elemBytes == 8
-            const __m256i cmp = dropNonPositive
-                ? _mm256_cmpgt_epi64(v, zero)
-                : _mm256_cmpeq_epi64(v, zero);
-            bits = static_cast<uint32_t>(
-                _mm256_movemask_pd(_mm256_castsi256_pd(cmp)));
-            if (!dropNonPositive)
-                bits = ~bits & 0xfu;
-            header |= static_cast<uint64_t>(bits) << (4 * h);
-        }
-    }
-    return header;
-}
-
-__attribute__((target("avx2")))
-void
-packLanes4Avx2(const uint8_t *vec, uint32_t header16, uint8_t *dst)
-{
-    for (int h = 0; h < 2; h++) {
-        const uint32_t m = (header16 >> (8 * h)) & 0xffu;
-        const int cnt = __builtin_popcount(m);
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(vec + 32 * h));
-        const __m256i idx = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(g_avx2.packIdx[m]));
-        const __m256i packed = _mm256_permutevar8x32_epi32(v, idx);
-        _mm256_maskstore_epi32(
-            reinterpret_cast<int *>(dst),
-            _mm256_load_si256(
-                reinterpret_cast<const __m256i *>(g_avx2.cntMask[cnt])),
-            packed);
-        dst += static_cast<size_t>(cnt) * 4;
-    }
-}
-
-__attribute__((target("avx2")))
-void
-unpackLanes4Avx2(const uint8_t *payload, uint32_t header16, uint8_t *out)
-{
-    for (int h = 0; h < 2; h++) {
-        const uint32_t m = (header16 >> (8 * h)) & 0xffu;
-        const int cnt = __builtin_popcount(m);
-        const __m256i packed = _mm256_maskload_epi32(
-            reinterpret_cast<const int *>(payload),
-            _mm256_load_si256(
-                reinterpret_cast<const __m256i *>(g_avx2.cntMask[cnt])));
-        const __m256i idx = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(g_avx2.unpackIdx[m]));
-        const __m256i spread = _mm256_and_si256(
-            _mm256_permutevar8x32_epi32(packed, idx),
-            _mm256_load_si256(
-                reinterpret_cast<const __m256i *>(g_avx2.laneMask[m])));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + 32 * h),
-                            spread);
-        payload += static_cast<size_t>(cnt) * 4;
-    }
-}
-
-__attribute__((target("avx2")))
-size_t
-countNonzeroF32Avx2(const float *d, size_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    size_t nnz = 0;
-    size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256 v = _mm256_loadu_ps(d + i);
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ))));
-    }
-    if (i < n) {
-        const int rem = static_cast<int>(n - i);
-        const __m256 v = _mm256_maskload_ps(
-            d + i,
-            _mm256_load_si256(
-                reinterpret_cast<const __m256i *>(g_avx2.cntMask[rem])));
-        // Masked-off lanes load as +0.0f and contribute no NEQ bits.
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_NEQ_UQ))));
-    }
-    return nnz;
-}
-
-__attribute__((target("avx2")))
-void
-vecNnzF32Avx2(const float *d, size_t vecs, uint16_t *out)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    for (size_t v = 0; v < vecs; v++) {
-        const float *p = d + v * 16;
-        const uint32_t lo = static_cast<uint32_t>(_mm256_movemask_ps(
-            _mm256_cmp_ps(_mm256_loadu_ps(p), zero, _CMP_NEQ_UQ)));
-        const uint32_t hi = static_cast<uint32_t>(_mm256_movemask_ps(
-            _mm256_cmp_ps(_mm256_loadu_ps(p + 8), zero, _CMP_NEQ_UQ)));
-        out[v] = static_cast<uint16_t>(__builtin_popcount(lo) +
-                                       __builtin_popcount(hi));
-    }
-}
-
-__attribute__((target("avx2")))
-void
-axpyF32Avx2(float av, const float *b, float *c, size_t n)
-{
-    const __m256 a = _mm256_set1_ps(av);
-    size_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 prod = _mm256_mul_ps(a, _mm256_loadu_ps(b + j));
-        _mm256_storeu_ps(c + j,
-                         _mm256_add_ps(_mm256_loadu_ps(c + j), prod));
-    }
-    if (j < n) {
-        const __m256i m = _mm256_load_si256(
-            reinterpret_cast<const __m256i *>(
-                g_avx2.cntMask[n - j]));
-        const __m256 bb = _mm256_maskload_ps(b + j, m);
-        const __m256 cc = _mm256_maskload_ps(c + j, m);
-        _mm256_maskstore_ps(c + j, m,
-                            _mm256_add_ps(cc, _mm256_mul_ps(a, bb)));
-    }
-}
-
-__attribute__((target("avx2")))
-void
-dotPanel16F32Avx2(const float *a, const float *bt, size_t plen,
-                  float *acc)
-{
-    __m256 lo = _mm256_loadu_ps(acc);
-    __m256 hi = _mm256_loadu_ps(acc + 8);
-    for (size_t p = 0; p < plen; p++) {
-        const __m256 ap = _mm256_set1_ps(a[p]);
-        lo = _mm256_add_ps(lo, _mm256_mul_ps(ap,
-                                             _mm256_loadu_ps(bt + p * 16)));
-        hi = _mm256_add_ps(hi,
-                           _mm256_mul_ps(ap,
-                                         _mm256_loadu_ps(bt + p * 16 + 8)));
-    }
-    _mm256_storeu_ps(acc, lo);
-    _mm256_storeu_ps(acc + 8, hi);
-}
-
-__attribute__((target("avx2")))
-int
-findTag64Avx2(const uint64_t *tags, int n, uint64_t needle)
-{
-    const __m256i nv = _mm256_set1_epi64x(static_cast<long long>(needle));
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i t = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(tags + i));
-        const uint32_t eq = static_cast<uint32_t>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(t, nv))));
-        if (eq)
-            return i + __builtin_ctz(eq);
-    }
-    for (; i < n; i++) {
-        if (tags[i] == needle)
-            return i;
-    }
-    return -1;
-}
-
-// -------------------------------------------------------------- AVX512
 
 #define ZCOMP_AVX512_TARGET "avx512f,avx512bw,avx512vl,avx512dq"
 
@@ -335,100 +112,6 @@ unpackLanesAvx512(const uint8_t *payload, int elemBytes, uint64_t header,
 }
 
 __attribute__((target(ZCOMP_AVX512_TARGET)))
-size_t
-countNonzeroF32Avx512(const float *d, size_t n)
-{
-    const __m512 zero = _mm512_setzero_ps();
-    size_t nnz = 0;
-    size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm512_cmp_ps_mask(_mm512_loadu_ps(d + i), zero,
-                               _CMP_NEQ_UQ)));
-    }
-    if (i < n) {
-        const __mmask16 m =
-            static_cast<__mmask16>((1u << (n - i)) - 1u);
-        const __m512 v = _mm512_maskz_loadu_ps(m, d + i);
-        nnz += __builtin_popcount(static_cast<uint32_t>(
-            _mm512_cmp_ps_mask(v, zero, _CMP_NEQ_UQ)));
-    }
-    return nnz;
-}
-
-__attribute__((target(ZCOMP_AVX512_TARGET)))
-void
-vecNnzF32Avx512(const float *d, size_t vecs, uint16_t *out)
-{
-    const __m512 zero = _mm512_setzero_ps();
-    for (size_t v = 0; v < vecs; v++) {
-        out[v] = static_cast<uint16_t>(
-            __builtin_popcount(static_cast<uint32_t>(_mm512_cmp_ps_mask(
-                _mm512_loadu_ps(d + v * 16), zero, _CMP_NEQ_UQ))));
-    }
-}
-
-/** Compress the even bits of x (positions 0,2,..,30) into bits 0..15. */
-inline uint32_t
-compressEvenBits(uint32_t x)
-{
-    x &= 0x55555555u;
-    x = (x | (x >> 1)) & 0x33333333u;
-    x = (x | (x >> 2)) & 0x0f0f0f0fu;
-    x = (x | (x >> 4)) & 0x00ff00ffu;
-    x = (x | (x >> 8)) & 0x0000ffffu;
-    return x;
-}
-
-__attribute__((target(ZCOMP_AVX512_TARGET)))
-uint16_t
-fpcBitsLineAvx512(const uint8_t *line, uint8_t *bits)
-{
-    const __m512i w = _mm512_loadu_si512(line);
-    const __m512i zero = _mm512_setzero_si512();
-
-    const __mmask16 zeroMask = _mm512_cmpeq_epi32_mask(w, zero);
-    // fitsSignExt(w, k): value in [-2^(k-1), 2^(k-1)-1], i.e.
-    // (uint32)(w + 2^(k-1)) < 2^k.
-    const __mmask16 se4 = _mm512_cmplt_epu32_mask(
-        _mm512_add_epi32(w, _mm512_set1_epi32(8)),
-        _mm512_set1_epi32(16));
-    const __mmask16 se8 = _mm512_cmplt_epu32_mask(
-        _mm512_add_epi32(w, _mm512_set1_epi32(128)),
-        _mm512_set1_epi32(256));
-    const __mmask16 se16 = _mm512_cmplt_epu32_mask(
-        _mm512_add_epi32(w, _mm512_set1_epi32(32768)),
-        _mm512_set1_epi32(65536));
-    const __mmask16 zpHalf = _mm512_cmpeq_epi32_mask(
-        _mm512_and_si512(w, _mm512_set1_epi32(0xffff)), zero);
-    // Both 16-bit halves of each word fit in a sign-extended byte.
-    const uint32_t half8 = static_cast<uint32_t>(_mm512_cmplt_epu16_mask(
-        _mm512_add_epi16(w, _mm512_set1_epi16(128)),
-        _mm512_set1_epi16(256)));
-    const __mmask16 seHalves = static_cast<__mmask16>(
-        compressEvenBits(half8 & (half8 >> 1)));
-    // All four bytes equal <=> word unchanged by an 8-bit rotate.
-    // (Rotate spelled as shift+or: GCC's _mm512_rol_epi32 goes through
-    // _mm512_undefined_epi32 and trips -Wuninitialized under -Werror.)
-    const __m512i rot8 = _mm512_or_si512(_mm512_slli_epi32(w, 8),
-                                         _mm512_srli_epi32(w, 24));
-    const __mmask16 repeated = _mm512_cmpeq_epi32_mask(w, rot8);
-
-    // Blend payload-bit counts lowest-priority first so the highest
-    // priority class wins (priority: se4 > se8 > se16 > zpHalf >
-    // seHalves > repeated > uncompressed; zero handled by the caller).
-    __m512i b = _mm512_set1_epi32(32);
-    b = _mm512_mask_mov_epi32(b, repeated, _mm512_set1_epi32(8));
-    b = _mm512_mask_mov_epi32(b, seHalves, _mm512_set1_epi32(16));
-    b = _mm512_mask_mov_epi32(b, zpHalf, _mm512_set1_epi32(16));
-    b = _mm512_mask_mov_epi32(b, se16, _mm512_set1_epi32(16));
-    b = _mm512_mask_mov_epi32(b, se8, _mm512_set1_epi32(8));
-    b = _mm512_mask_mov_epi32(b, se4, _mm512_set1_epi32(4));
-    _mm512_mask_cvtepi32_storeu_epi8(bits, 0xffff, b);
-    return static_cast<uint16_t>(zeroMask);
-}
-
-__attribute__((target(ZCOMP_AVX512_TARGET)))
 void
 axpyF32Avx512(float av, const float *b, float *c, size_t n)
 {
@@ -463,29 +146,6 @@ dotPanel16F32Avx512(const float *a, const float *bt, size_t plen,
     _mm512_storeu_ps(acc, s);
 }
 
-__attribute__((target(ZCOMP_AVX512_TARGET)))
-int
-findTag64Avx512(const uint64_t *tags, int n, uint64_t needle)
-{
-    const __m512i nv = _mm512_set1_epi64(static_cast<long long>(needle));
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __mmask8 eq = _mm512_cmpeq_epu64_mask(
-            _mm512_loadu_si512(tags + i), nv);
-        if (eq)
-            return i + __builtin_ctz(static_cast<uint32_t>(eq));
-    }
-    if (i < n) {
-        const __mmask8 m =
-            static_cast<__mmask8>((1u << (n - i)) - 1u);
-        const __mmask8 eq = _mm512_mask_cmpeq_epu64_mask(
-            m, _mm512_maskz_loadu_epi64(m, tags + i), nv);
-        if (eq)
-            return i + __builtin_ctz(static_cast<uint32_t>(eq));
-    }
-    return -1;
-}
-
 #endif // ZCOMP_SIMD_X86
 
 std::atomic<int> g_backend{-1};
@@ -498,8 +158,8 @@ resolveBackend()
         return bestSupportedBackend();
     Backend req;
     if (!parseBackend(env, req)) {
-        warn("ZCOMP_SIMD=%s not recognized (want off|scalar|avx2|"
-             "avx512|auto); using auto",
+        warn("ZCOMP_SIMD=%s not recognized (want off|scalar|avx512|auto); "
+             "using auto",
              env);
         return bestSupportedBackend();
     }
@@ -511,60 +171,16 @@ resolveBackend()
     return req;
 }
 
-/**
- * First-use trampoline for the findTag64 hot pointer: resolve the
- * backend (installing the real kernel pointer or null-for-scalar),
- * then answer this one probe with the scalar loop — identical result,
- * and every later call goes straight to the installed target.
- */
-int
-findTag64Resolve(const uint64_t *tags, int n, uint64_t needle)
-{
-    activeBackend();
-    detail::FindTag64Fn fn =
-        detail::findTag64Fn.load(std::memory_order_relaxed);
-    ZCOMP_DCHECK(fn != findTag64Resolve,
-                 "findTag64 trampoline failed to re-point itself");
-    if (fn)
-        return fn(tags, n, needle);
-    for (int w = 0; w < n; w++) {
-        if (tags[w] == needle)
-            return w;
-    }
-    return -1;
-}
-
-/** Keep the findTag64 hot pointer in sync with the backend. */
-void
-syncFindTag64(Backend b)
-{
-    detail::FindTag64Fn fn = nullptr;
-#if ZCOMP_SIMD_X86
-    if (b == Backend::Avx512)
-        fn = findTag64Avx512;
-    else if (b == Backend::Avx2)
-        fn = findTag64Avx2;
-#else
-    (void)b;
-#endif
-    detail::findTag64Fn.store(fn, std::memory_order_relaxed);
-}
-
 } // namespace
-
-namespace detail {
-std::atomic<FindTag64Fn> findTag64Fn{findTag64Resolve};
-} // namespace detail
 
 const char *
 backendName(Backend b)
 {
     switch (b) {
       case Backend::Scalar: return "scalar";
-      case Backend::Avx2: return "avx2";
       case Backend::Avx512: return "avx512";
     }
-    return "?";
+    panic("invalid SIMD backend %d", static_cast<int>(b));
 }
 
 bool
@@ -573,12 +189,6 @@ backendSupported(Backend b)
     switch (b) {
       case Backend::Scalar:
         return true;
-      case Backend::Avx2:
-#if ZCOMP_SIMD_X86
-        return __builtin_cpu_supports("avx2");
-#else
-        return false;
-#endif
       case Backend::Avx512:
 #if ZCOMP_SIMD_X86
         return __builtin_cpu_supports("avx512f") &&
@@ -595,11 +205,8 @@ backendSupported(Backend b)
 Backend
 bestSupportedBackend()
 {
-    if (backendSupported(Backend::Avx512))
-        return Backend::Avx512;
-    if (backendSupported(Backend::Avx2))
-        return Backend::Avx2;
-    return Backend::Scalar;
+    return backendSupported(Backend::Avx512) ? Backend::Avx512
+                                             : Backend::Scalar;
 }
 
 Backend
@@ -611,7 +218,6 @@ activeBackend()
         int expected = -1;
         g_backend.compare_exchange_strong(expected, resolved);
         b = g_backend.load(std::memory_order_relaxed);
-        syncFindTag64(static_cast<Backend>(b));
     }
     return static_cast<Backend>(b);
 }
@@ -623,7 +229,6 @@ setBackend(Backend b)
                 "SIMD backend %s not supported on this host",
                 backendName(b));
     g_backend.store(static_cast<int>(b), std::memory_order_relaxed);
-    syncFindTag64(b);
 }
 
 bool
@@ -638,10 +243,6 @@ parseBackend(const char *name, Backend &out)
         out = Backend::Scalar;
         return true;
     }
-    if (is("avx2")) {
-        out = Backend::Avx2;
-        return true;
-    }
     if (is("avx512")) {
         out = Backend::Avx512;
         return true;
@@ -653,197 +254,93 @@ parseBackend(const char *name, Backend &out)
     return false;
 }
 
+#if ZCOMP_SIMD_X86
 
 bool
 laneHeader(const uint8_t *vec, int elemBytes, bool dropNonPositive,
            uint64_t &header)
 {
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        header = laneHeaderAvx512(vec, elemBytes, dropNonPositive);
-        return true;
-      case Backend::Avx2:
-        if (elemBytes == 4 || elemBytes == 8) {
-            header = laneHeaderAvx2(vec, elemBytes, dropNonPositive);
-            return true;
-        }
-        break;
-      default:
-        break;
-    }
-#else
-    (void)vec; (void)elemBytes; (void)dropNonPositive; (void)header;
-#endif
-    return false;
+    if (activeBackend() != Backend::Avx512)
+        return false;
+    header = laneHeaderAvx512(vec, elemBytes, dropNonPositive);
+    return true;
 }
 
 bool
 packLanes(const uint8_t *vec, int elemBytes, uint64_t header,
           uint8_t *dst)
 {
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        // 1- and 2-byte lanes need VBMI2 compress, which we do not
-        // require; those widths stay on the scalar reference.
-        if (elemBytes == 4 || elemBytes == 8) {
-            packLanesAvx512(vec, elemBytes, header, dst);
-            return true;
-        }
-        break;
-      case Backend::Avx2:
-        if (elemBytes == 4) {
-            packLanes4Avx2(vec, static_cast<uint32_t>(header), dst);
-            return true;
-        }
-        if (elemBytes == 8) {
-            // Treat each 64-bit lane as an aligned pair of 32-bit
-            // lanes; the pair-expanded header selects both halves.
-            const uint32_t m =
-                kPairExpand[header & 0xf] |
-                (kPairExpand[(header >> 4) & 0xf] << 8);
-            packLanes4Avx2(vec, m, dst);
-            return true;
-        }
-        break;
-      default:
-        break;
-    }
-#else
-    (void)vec; (void)elemBytes; (void)header; (void)dst;
-#endif
-    return false;
+    // 1- and 2-byte lanes need VBMI2 compress, which we do not
+    // require; those widths stay on the scalar reference.
+    if (activeBackend() != Backend::Avx512 ||
+        (elemBytes != 4 && elemBytes != 8))
+        return false;
+    packLanesAvx512(vec, elemBytes, header, dst);
+    return true;
 }
 
 bool
 unpackLanes(const uint8_t *payload, int elemBytes, uint64_t header,
             uint8_t *out)
 {
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        if (elemBytes == 4 || elemBytes == 8) {
-            unpackLanesAvx512(payload, elemBytes, header, out);
-            return true;
-        }
-        break;
-      case Backend::Avx2:
-        if (elemBytes == 4) {
-            unpackLanes4Avx2(payload, static_cast<uint32_t>(header),
-                             out);
-            return true;
-        }
-        if (elemBytes == 8) {
-            const uint32_t m =
-                kPairExpand[header & 0xf] |
-                (kPairExpand[(header >> 4) & 0xf] << 8);
-            unpackLanes4Avx2(payload, m, out);
-            return true;
-        }
-        break;
-      default:
-        break;
-    }
-#else
-    (void)payload; (void)elemBytes; (void)header; (void)out;
-#endif
-    return false;
-}
-
-bool
-countNonzeroF32(const float *d, size_t n, size_t &nnz)
-{
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        nnz += countNonzeroF32Avx512(d, n);
-        return true;
-      case Backend::Avx2:
-        nnz += countNonzeroF32Avx2(d, n);
-        return true;
-      default:
-        break;
-    }
-#else
-    (void)d; (void)n; (void)nnz;
-#endif
-    return false;
-}
-
-bool
-vecNnzF32(const float *d, size_t vecs, uint16_t *out)
-{
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        vecNnzF32Avx512(d, vecs, out);
-        return true;
-      case Backend::Avx2:
-        vecNnzF32Avx2(d, vecs, out);
-        return true;
-      default:
-        break;
-    }
-#else
-    (void)d; (void)vecs; (void)out;
-#endif
-    return false;
-}
-
-bool
-fpcBitsLine(const uint8_t *line, uint8_t *bits, uint16_t &zeroMask)
-{
-#if ZCOMP_SIMD_X86
-    if (activeBackend() == Backend::Avx512) {
-        zeroMask = fpcBitsLineAvx512(line, bits);
-        return true;
-    }
-#else
-    (void)line; (void)bits; (void)zeroMask;
-#endif
-    return false;
+    if (activeBackend() != Backend::Avx512 ||
+        (elemBytes != 4 && elemBytes != 8))
+        return false;
+    unpackLanesAvx512(payload, elemBytes, header, out);
+    return true;
 }
 
 bool
 axpyF32(float av, const float *b, float *c, size_t n)
 {
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        axpyF32Avx512(av, b, c, n);
-        return true;
-      case Backend::Avx2:
-        axpyF32Avx2(av, b, c, n);
-        return true;
-      default:
-        break;
-    }
-#else
-    (void)av; (void)b; (void)c; (void)n;
-#endif
-    return false;
+    if (activeBackend() != Backend::Avx512)
+        return false;
+    axpyF32Avx512(av, b, c, n);
+    return true;
 }
 
 bool
 dotPanel16F32(const float *a, const float *bt, size_t plen, float *acc)
 {
-#if ZCOMP_SIMD_X86
-    switch (activeBackend()) {
-      case Backend::Avx512:
-        dotPanel16F32Avx512(a, bt, plen, acc);
-        return true;
-      case Backend::Avx2:
-        dotPanel16F32Avx2(a, bt, plen, acc);
-        return true;
-      default:
-        break;
-    }
-#else
-    (void)a; (void)bt; (void)plen; (void)acc;
-#endif
+    if (activeBackend() != Backend::Avx512)
+        return false;
+    dotPanel16F32Avx512(a, bt, plen, acc);
+    return true;
+}
+
+#else // !ZCOMP_SIMD_X86: no native backend; every call site runs scalar.
+
+bool
+laneHeader(const uint8_t *, int, bool, uint64_t &)
+{
     return false;
 }
+
+bool
+packLanes(const uint8_t *, int, uint64_t, uint8_t *)
+{
+    return false;
+}
+
+bool
+unpackLanes(const uint8_t *, int, uint64_t, uint8_t *)
+{
+    return false;
+}
+
+bool
+axpyF32(float, const float *, float *, size_t)
+{
+    return false;
+}
+
+bool
+dotPanel16F32(const float *, const float *, size_t, float *)
+{
+    return false;
+}
+
+#endif // ZCOMP_SIMD_X86
 
 } // namespace simd
 } // namespace zcomp

@@ -9,23 +9,30 @@
  *    non-inline function compiled with an explicit target attribute.
  *  - Every kernel is an exact-behavior accelerator: given the same
  *    inputs it produces results bit-identical to the scalar reference
- *    loop at its call site. Kernels therefore return `bool` (or a
- *    sentinel) meaning "handled"; when the active backend has no
- *    vector path for the request, the caller runs its scalar loop.
- *    This keeps exactly one authoritative scalar implementation: the
- *    pre-existing code in the caller.
+ *    loop at its call site. Kernels therefore return `bool` meaning
+ *    "handled"; when the active backend has no vector path for the
+ *    request, the caller runs its scalar loop. This keeps exactly one
+ *    authoritative scalar implementation: the pre-existing code in the
+ *    caller.
+ *  - A kernel stays only while it shows an end-to-end win on a
+ *    BENCHMARK.json workload (DESIGN.md §4.7): the zcomps codec
+ *    kernels serve relu_sweep, the GEMM kernels serve study_train.
+ *
+ * Backends:
+ *  - scalar: no kernel handles anything; every call site runs its
+ *    reference loop. Always available.
+ *  - avx512: AVX-512 F+BW+VL+DQ kernels, chosen when the host has them.
  *
  * Backend selection:
  *  - The active backend resolves once from the ZCOMP_SIMD environment
- *    variable (off | scalar | avx2 | avx512 | auto; default auto) and
- *    host CPU capability, and can be overridden programmatically with
+ *    variable (off | scalar | avx512 | auto; default auto) and host
+ *    CPU capability, and can be overridden programmatically with
  *    setBackend() (tests and the differential fuzzer do this).
  */
 
 #ifndef ZCOMP_COMMON_SIMD_HH
 #define ZCOMP_COMMON_SIMD_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -35,11 +42,10 @@ namespace simd {
 enum class Backend : uint8_t
 {
     Scalar = 0, //< reference loops at the call sites; always available
-    Avx2 = 1,   //< 256-bit kernels for the widest-impact paths
-    Avx512 = 2, //< full kernel set (F+BW+VL+DQ; no VBMI2 required)
+    Avx512 = 1, //< the kernel set below (F+BW+VL+DQ; no VBMI2 required)
 };
 
-/** Stable lowercase name ("scalar", "avx2", "avx512"). */
+/** Stable lowercase name ("scalar", "avx512"); panics on any other value. */
 const char *backendName(Backend b);
 
 /** True when the host CPU can execute kernels of this backend. */
@@ -63,7 +69,7 @@ void setBackend(Backend b);
 
 /**
  * Parse a ZCOMP_SIMD-style name into a backend. Returns true and sets
- * `out` for off|scalar|avx2|avx512; "auto" maps to
+ * `out` for off|scalar|avx512; "auto" maps to
  * bestSupportedBackend(). Unknown names return false.
  */
 bool parseBackend(const char *name, Backend &out);
@@ -72,38 +78,6 @@ bool parseBackend(const char *name, Backend &out);
 // Kernels. All return whether the active backend handled the request;
 // on `false` the caller must run its scalar reference loop.
 // ---------------------------------------------------------------------
-
-namespace detail {
-
-/**
- * Hot-path dispatch pointer for findTag64. The cache model issues
- * billions of tag probes per sweep, so this one kernel dispatches
- * through a pointer kept in sync by setBackend()/activeBackend()
- * instead of a per-call backend switch. It starts on a trampoline
- * that resolves ZCOMP_SIMD on first use; null means scalar (caller
- * runs its reference loop).
- */
-using FindTag64Fn = int (*)(const uint64_t *tags, int n,
-                            uint64_t needle);
-extern std::atomic<FindTag64Fn> findTag64Fn;
-
-} // namespace detail
-
-/**
- * Find the index in [0, n) whose 64-bit tag equals `needle`, or -1.
- * Requires the caller to guarantee at most one match (cache sets hold
- * unique tags), which makes the result backend-independent.
- */
-inline bool
-findTag64(const uint64_t *tags, int n, uint64_t needle, int &way)
-{
-    detail::FindTag64Fn fn =
-        detail::findTag64Fn.load(std::memory_order_relaxed);
-    if (!fn)
-        return false;
-    way = fn(tags, n, needle);
-    return true;
-}
 
 /**
  * Compute the zcomps keep-header of a 64-byte vector of `elemBytes`-
@@ -129,29 +103,6 @@ bool packLanes(const uint8_t *vec, int elemBytes, uint64_t header,
  */
 bool unpackLanes(const uint8_t *payload, int elemBytes, uint64_t header,
                  uint8_t *out);
-
-/**
- * Count of floats with d[i] != 0.0f (IEEE compare: -0.0f counts as
- * zero, NaN counts as nonzero), added into `nnz`.
- */
-bool countNonzeroF32(const float *d, size_t n, size_t &nnz);
-
-/**
- * Per-16-lane-group nonzero counts: out[v] = number of lanes with
- * d[16v + i] != 0.0f for v in [0, vecs). Same compare semantics as
- * countNonzeroF32.
- */
-bool vecNnzF32(const float *d, size_t vecs, uint16_t *out);
-
-/**
- * FPC word classification for one 64-byte line (16 little-endian
- * 32-bit words): bits[w] = payload bits of the best non-zero-run FPC
- * class for word w (3-bit prefix excluded), zeroMask bit w = word w
- * is zero. The caller runs the zero-run state machine on zeroMask and
- * sums bits[w] (+3 prefix) for nonzero words.
- */
-bool fpcBitsLine(const uint8_t *line, uint8_t *bits,
-                 uint16_t &zeroMask);
 
 /**
  * GEMM inner kernels. Both mirror the scalar loops bit-exactly:

@@ -2,7 +2,6 @@
 
 #include "common/check.hh"
 #include "common/log.hh"
-#include "common/simd.hh"
 
 namespace zcomp {
 
@@ -36,14 +35,10 @@ Cache::insert(Addr line, bool dirty, bool is_prefetch, double ready_at)
     if (way < 0) {
         // Prefer the first invalid way (an empty way carries the
         // sentinel tag, so this is just another tag probe).
-        if (!simd::findTag64(tags_.data() + base, assoc_, kInvalidTag,
-                             way)) {
-            way = -1;
-            for (int w = 0; w < assoc_; w++) {
-                if (tags_[base + w] == kInvalidTag) {
-                    way = w;
-                    break;
-                }
+        for (int w = 0; w < assoc_; w++) {
+            if (tags_[base + w] == kInvalidTag) {
+                way = w;
+                break;
             }
         }
         if (way < 0) {

@@ -19,7 +19,6 @@
 
 #include "common/check.hh"
 #include "common/config.hh"
-#include "common/simd.hh"
 #include "common/stats.hh"
 #include "mem/addr.hh"
 #include "mem/replacement.hh"
@@ -158,11 +157,6 @@ Cache::findWay(int set, Addr line) const
 {
     ZCOMP_DCHECK(line != kInvalidTag, "lookup of the invalid-tag sentinel");
     const uint64_t *tags = tags_.data() + static_cast<size_t>(set) * assoc_;
-    // A set holds each tag at most once, so first-match == only-match
-    // and the result is backend independent.
-    int way;
-    if (simd::findTag64(tags, assoc_, line, way))
-        return way;
     for (int w = 0; w < assoc_; w++) {
         if (tags[w] == line)
             return w;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 
 #include "common/fault.hh"
 #include "common/log.hh"
@@ -22,7 +23,7 @@ reluImplName(ReluImpl impl)
       case ReluImpl::Zcomp:
         return "zcomp";
     }
-    return "?";
+    panic("invalid ReluImpl %d", static_cast<int>(impl));
 }
 
 namespace {
@@ -136,43 +137,10 @@ prepare(ExecContext &ctx, ReluImpl impl, const ReluExperimentConfig &cfg)
                 }
                 break;
               }
-              case ReluImpl::Avx512Comp: {
-                // Separate mask arrays indexed by global vector id.
-                CompressedWriter wx(
-                    st.x->host + sub.regionOffset, sub.regionBytes,
-                    st.xMask->host + (sub.elemBegin / 16) * hdrB,
-                    (sub.elems() / 16) * hdrB, ElemType::F32, Ccf::EQZ);
-                CompressedWriter wy(
-                    st.y->host + sub.regionOffset, sub.regionBytes,
-                    st.yMask->host + (sub.elemBegin / 16) * hdrB,
-                    (sub.elems() / 16) * hdrB, ElemType::F32, Ccf::LTEZ);
-                for (size_t i = sub.elemBegin; i < sub.elemEnd; i += 16) {
-                    Vec512 v = Vec512::load(raw.data() + i);
-                    wx.put(v);
-                    wy.put(v);
-                }
-                ss.nnzX = wx.nnzRecord();
-                ss.nnzY = wy.nnzRecord();
-                st.xStream += wx.stats();
-                st.yStream += wy.stats();
-                break;
-              }
+              case ReluImpl::Avx512Comp:
               case ReluImpl::Zcomp: {
-                if (cfg.separateHeader) {
-                    // Section 3.2/4.1 option 2: payload stays within
-                    // the original allocation, headers live in their
-                    // own store with a decoupled auto-incremented
-                    // pointer (no memory-violation risk).
-                    CompressedWriter wx(
-                        st.x->host + sub.regionOffset, sub.regionBytes,
-                        st.xMask->host + (sub.elemBegin / 16) * hdrB,
-                        (sub.elems() / 16) * hdrB, ElemType::F32,
-                        Ccf::EQZ);
-                    CompressedWriter wy(
-                        st.y->host + sub.regionOffset, sub.regionBytes,
-                        st.yMask->host + (sub.elemBegin / 16) * hdrB,
-                        (sub.elems() / 16) * hdrB, ElemType::F32,
-                        Ccf::LTEZ);
+                const auto compress = [&](CompressedWriter &wx,
+                                          CompressedWriter &wy) {
                     for (size_t i = sub.elemBegin; i < sub.elemEnd;
                          i += 16) {
                         Vec512 v = Vec512::load(raw.data() + i);
@@ -183,6 +151,25 @@ prepare(ExecContext &ctx, ReluImpl impl, const ReluExperimentConfig &cfg)
                     ss.nnzY = wy.nnzRecord();
                     st.xStream += wx.stats();
                     st.yStream += wy.stats();
+                };
+                if (st.yMask) {
+                    // Separate mask arrays indexed by global vector id:
+                    // avx512-comp, and zcomp's Section 3.2/4.1 option 2
+                    // (payload stays within the original allocation,
+                    // headers live in their own store with a decoupled
+                    // auto-incremented pointer; no memory-violation
+                    // risk).
+                    CompressedWriter wx(
+                        st.x->host + sub.regionOffset, sub.regionBytes,
+                        st.xMask->host + (sub.elemBegin / 16) * hdrB,
+                        (sub.elems() / 16) * hdrB, ElemType::F32,
+                        Ccf::EQZ);
+                    CompressedWriter wy(
+                        st.y->host + sub.regionOffset, sub.regionBytes,
+                        st.yMask->host + (sub.elemBegin / 16) * hdrB,
+                        (sub.elems() / 16) * hdrB, ElemType::F32,
+                        Ccf::LTEZ);
+                    compress(wx, wy);
                     break;
                 }
                 // Interleaved-header streams within the original
@@ -193,15 +180,7 @@ prepare(ExecContext &ctx, ReluImpl impl, const ReluExperimentConfig &cfg)
                 CompressedWriter wy(st.y->host + slackOffset(sub),
                                     slackBytes(sub), ElemType::F32,
                                     Ccf::LTEZ);
-                for (size_t i = sub.elemBegin; i < sub.elemEnd; i += 16) {
-                    Vec512 v = Vec512::load(raw.data() + i);
-                    wx.put(v);
-                    wy.put(v);
-                }
-                ss.nnzX = wx.nnzRecord();
-                ss.nnzY = wy.nnzRecord();
-                st.xStream += wx.stats();
-                st.yStream += wy.stats();
+                compress(wx, wy);
                 break;
               }
             }
@@ -210,34 +189,35 @@ prepare(ExecContext &ctx, ReluImpl impl, const ReluExperimentConfig &cfg)
     }
 
     if (cfg.verify) {
-        // Expanding Y must reproduce relu(raw) exactly.
+        // Expanding Y must reproduce relu(raw) exactly in every layout:
+        // plain, separate mask arrays or interleaved headers.
         for (int c = 0; c < cores; c++) {
             for (const SubStream &ss : st.subs[static_cast<size_t>(c)]) {
-                if (ss.chunk.elems() == 0)
-                    continue;
                 const Chunk &sub = ss.chunk;
-                for (size_t i = sub.elemBegin; i < sub.elemEnd; i++) {
-                    float expect = raw[i] > 0 ? raw[i] : 0.0f;
-                    float got = 0.0f;
-                    if (impl == ReluImpl::Avx512Vec) {
-                        got = reinterpret_cast<float *>(
-                            st.y->host +
-                            sub.regionOffset)[i - sub.elemBegin];
-                        panic_if(got != expect, "vec mismatch at %zu", i);
-                    }
-                }
-                if (impl == ReluImpl::Zcomp && !cfg.separateHeader) {
-                    CompressedReader r(st.y->host + slackOffset(sub),
-                                       slackBytes(sub), ElemType::F32);
-                    for (size_t i = sub.elemBegin; i < sub.elemEnd;
-                         i += 16) {
-                        Vec512 v = r.get();
-                        for (int l = 0; l < 16; l++) {
-                            float expect = raw[i + l] > 0 ? raw[i + l]
-                                                          : 0.0f;
-                            panic_if(v.lane<float>(l) != expect,
-                                     "zcomp mismatch at %zu", i);
-                        }
+                if (sub.elems() == 0)
+                    continue;
+                std::optional<CompressedReader> r;
+                if (st.yMask)
+                    r.emplace(st.y->host + sub.regionOffset,
+                              sub.regionBytes,
+                              st.yMask->host + (sub.elemBegin / 16) * hdrB,
+                              (sub.elems() / 16) * hdrB, ElemType::F32);
+                else if (impl == ReluImpl::Zcomp)
+                    r.emplace(st.y->host + slackOffset(sub),
+                              slackBytes(sub), ElemType::F32);
+                if (r)
+                    r->expectNnzRecord(&ss.nnzY);
+                for (size_t i = sub.elemBegin; i < sub.elemEnd; i += 16) {
+                    const Vec512 v =
+                        r ? r->get()
+                          : Vec512::load(st.y->host + sub.regionOffset +
+                                         (i - sub.elemBegin) * 4);
+                    for (int l = 0; l < 16; l++) {
+                        const float x = raw[i + static_cast<size_t>(l)];
+                        panic_if(v.lane<float>(l) != (x > 0 ? x : 0.0f),
+                                 "%s mismatch at element %zu",
+                                 reluImplName(impl),
+                                 i + static_cast<size_t>(l));
                     }
                 }
             }
@@ -360,7 +340,6 @@ buildStorePhase(const ExperimentState &st, ReluImpl impl,
                 }
             }
         }
-        (void)cfg;
     }
     return phase;
 }

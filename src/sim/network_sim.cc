@@ -5,7 +5,6 @@
 
 #include "common/bitops.hh"
 #include "common/fault.hh"
-#include "common/simd.hh"
 #include "common/log.hh"
 #include "common/trace_writer.hh"
 #include "dnn/layers/conv.hh"
@@ -417,13 +416,11 @@ NetworkSim::scanFor(const Tensor &t)
     const size_t elems = t.elems();
     const size_t vecs = elems / 16;
     scan.nnz.resize(vecs);
-    if (!simd::vecNnzF32(d, vecs, scan.nnz.data())) {
-        for (size_t v = 0; v < vecs; v++) {
-            uint32_t n = 0;
-            for (int i = 0; i < 16; i++)
-                n += d[v * 16 + i] != 0.0f;
-            scan.nnz[v] = static_cast<uint16_t>(n);
-        }
+    for (size_t v = 0; v < vecs; v++) {
+        uint32_t n = 0;
+        for (int i = 0; i < 16; i++)
+            n += d[v * 16 + i] != 0.0f;
+        scan.nnz[v] = static_cast<uint16_t>(n);
     }
     size_t nnz_total = 0;
     for (size_t v = 0; v < vecs; v++)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
+#include "common/fault.hh"
 #include "sim/kernels.hh"
 
 using namespace zcomp;
@@ -39,12 +41,49 @@ TEST(ReluKernels, ImplNames)
     EXPECT_STREQ(reluImplName(ReluImpl::Zcomp), "zcomp");
 }
 
+TEST(ReluKernelsDeathTest, InvalidImplNamePanics)
+{
+    EXPECT_DEATH(reluImplName(static_cast<ReluImpl>(99)),
+                 "invalid ReluImpl 99");
+}
+
 TEST(ReluKernels, FunctionalVerificationPasses)
 {
     for (int i = 0; i < numReluImpls; i++) {
-        ExecContext ctx(cfgSmall());
-        ReluExperimentConfig c = expCfg(16 * 1024);
-        runReluExperiment(ctx, static_cast<ReluImpl>(i), c);
+        for (bool sep : {false, true}) {
+            ExecContext ctx(cfgSmall());
+            ReluExperimentConfig c = expCfg(16 * 1024);
+            c.separateHeader = sep;
+            runReluExperiment(ctx, static_cast<ReluImpl>(i), c);
+        }
+    }
+}
+
+TEST(ReluKernels, VerifyDecodesEveryCompressedLayout)
+{
+    // The ReLU run reads its compressed Y streams back only to verify
+    // them, so an injected decode fault fires iff verify decodes.
+    struct Layout
+    {
+        ReluImpl impl;
+        bool sep;
+    };
+    for (Layout l : {Layout{ReluImpl::Avx512Comp, false},
+                     Layout{ReluImpl::Zcomp, false},
+                     Layout{ReluImpl::Zcomp, true}}) {
+        for (bool verify : {false, true}) {
+            ExecContext ctx(cfgSmall());
+            ReluExperimentConfig c = expCfg(16 * 64);
+            c.separateHeader = l.sep;
+            c.verify = verify;
+            FaultInjector::global().configure("zcomp.header:1");
+            if (verify)
+                EXPECT_THROW(runReluExperiment(ctx, l.impl, c), DecodeError)
+                    << reluImplName(l.impl) << " sep=" << l.sep;
+            else
+                EXPECT_NO_THROW(runReluExperiment(ctx, l.impl, c));
+            FaultInjector::global().reset();
+        }
     }
 }
 

@@ -13,7 +13,6 @@
 #include <cstring>
 #include <vector>
 
-#include "cachecomp/fpc.hh"
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "isa/ccf.hh"
@@ -36,15 +35,13 @@ class BackendGuard
     simd::Backend saved_;
 };
 
-/** The non-scalar backends this host can actually run. */
+/** The native (non-scalar) backends this host can actually run. */
 std::vector<simd::Backend>
 nativeBackends()
 {
-    std::vector<simd::Backend> v;
-    for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
-        if (simd::backendSupported(b))
-            v.push_back(b);
-    return v;
+    if (simd::backendSupported(simd::Backend::Avx512))
+        return {simd::Backend::Avx512};
+    return {};
 }
 
 /** fp32 bit patterns covering every adversarial class. */
@@ -144,26 +141,22 @@ TEST(SimdDispatch, ParseAndNames)
     EXPECT_TRUE(simd::backendSupported(simd::Backend::Scalar));
 }
 
+TEST(SimdDispatchDeathTest, InvalidBackendNamePanics)
+{
+    EXPECT_DEATH(simd::backendName(static_cast<simd::Backend>(7)),
+                 "invalid SIMD backend 7");
+}
+
 TEST(SimdDispatch, ScalarBackendHandlesNothing)
 {
     BackendGuard guard;
     simd::setBackend(simd::Backend::Scalar);
     uint64_t h;
     uint8_t buf[64] = {};
-    int way;
-    uint64_t tags[4] = {};
-    size_t nnz = 0;
     float f[16] = {};
-    uint16_t u16[1];
-    uint8_t bits[16];
-    uint16_t zm;
     EXPECT_FALSE(simd::laneHeader(buf, 4, false, h));
     EXPECT_FALSE(simd::packLanes(buf, 4, 0xFFFF, buf));
     EXPECT_FALSE(simd::unpackLanes(buf, 4, 0xFFFF, buf));
-    EXPECT_FALSE(simd::findTag64(tags, 4, 1, way));
-    EXPECT_FALSE(simd::countNonzeroF32(f, 16, nnz));
-    EXPECT_FALSE(simd::vecNnzF32(f, 1, u16));
-    EXPECT_FALSE(simd::fpcBitsLine(buf, bits, zm));
     EXPECT_FALSE(simd::axpyF32(1.0f, f, f, 16));
     EXPECT_FALSE(simd::dotPanel16F32(f, f, 0, f));
 }
@@ -269,108 +262,6 @@ TEST(SimdDiff, PackUnpackLanesExactAndUnaligned)
     }
 }
 
-TEST(SimdDiff, CountNonzeroF32TailsAndSpecials)
-{
-    BackendGuard guard;
-    const auto &adv = adversarialF32Bits();
-    std::vector<float> data(67 + 1);
-    // Fill with a rotation of the adversarial patterns, unaligned by
-    // one float (so AVX loads start off a 64-byte boundary).
-    float *d = data.data() + 1;
-    for (size_t i = 0; i < 67; i++) {
-        uint32_t w = adv[i % adv.size()];
-        std::memcpy(&d[i], &w, 4);
-    }
-    for (simd::Backend b : nativeBackends()) {
-        simd::setBackend(b);
-        for (size_t n = 0; n <= 67; n++) {
-            size_t ref = 0;
-            for (size_t i = 0; i < n; i++)
-                ref += d[i] != 0.0f;
-            size_t nnz = 100;  // must ADD into the accumulator
-            ASSERT_TRUE(simd::countNonzeroF32(d, n, nnz));
-            EXPECT_EQ(nnz, 100 + ref)
-                << simd::backendName(b) << " n=" << n;
-        }
-    }
-}
-
-TEST(SimdDiff, VecNnzF32MatchesPerVectorCounts)
-{
-    BackendGuard guard;
-    Rng rng(99);
-    const size_t vecs = 33;
-    std::vector<float> data(vecs * 16 + 1);
-    float *d = data.data() + 1;  // unaligned
-    const auto &adv = adversarialF32Bits();
-    for (size_t i = 0; i < vecs * 16; i++) {
-        if (rng.chance(0.5)) {
-            d[i] = 0.0f;
-        } else {
-            uint32_t w = adv[rng.below(adv.size())];
-            std::memcpy(&d[i], &w, 4);
-        }
-    }
-    for (simd::Backend b : nativeBackends()) {
-        simd::setBackend(b);
-        std::vector<uint16_t> out(vecs, 0xFFFF);
-        ASSERT_TRUE(simd::vecNnzF32(d, vecs, out.data()));
-        for (size_t v = 0; v < vecs; v++) {
-            uint16_t ref = 0;
-            for (int i = 0; i < 16; i++)
-                ref += d[v * 16 + i] != 0.0f;
-            EXPECT_EQ(out[v], ref)
-                << simd::backendName(b) << " vec=" << v;
-        }
-    }
-}
-
-TEST(SimdDiff, FpcBitsLineMatchesClassifier)
-{
-    BackendGuard guard;
-    // Per-class crafted words plus random lines.
-    std::vector<std::vector<uint32_t>> lines;
-    lines.push_back({0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
-    lines.push_back({0x00000007u, 0xFFFFFFF9u,       // signext4
-                     0x0000007Fu, 0xFFFFFF80u,       // signext8
-                     0x00007FFFu, 0xFFFF8000u,       // signext16
-                     0x12340000u, 0xABCD0000u,       // zero-padded half
-                     0x007F0080u, 0xFF80007Fu,       // signext halves
-                     0x5A5A5A5Au, 0x01010101u,       // repeated bytes
-                     0xDEADBEEFu, 0x7FC00000u,       // uncompressed/NaN
-                     0x80000000u, 0x00000000u});     // -0.0f, zero
-    Rng rng(123);
-    for (int r = 0; r < 32; r++) {
-        std::vector<uint32_t> line(16);
-        for (auto &w : line)
-            w = rng.chance(0.3)
-                    ? 0u
-                    : static_cast<uint32_t>(rng.next64());
-        lines.push_back(line);
-    }
-    for (simd::Backend b : nativeBackends()) {
-        simd::setBackend(b);
-        for (const auto &line : lines) {
-            uint8_t raw[64];
-            std::memcpy(raw, line.data(), 64);
-            uint8_t bits[16];
-            uint16_t zmask = 0;
-            if (!simd::fpcBitsLine(raw, bits, zmask))
-                continue;  // backend has no fpc kernel (avx2)
-            for (int w = 0; w < 16; w++) {
-                const uint32_t word = line[static_cast<size_t>(w)];
-                EXPECT_EQ((zmask >> w) & 1, word == 0 ? 1 : 0);
-                if (word != 0) {
-                    EXPECT_EQ(bits[w],
-                              fpcPayloadBits(fpcClassify(word)))
-                        << simd::backendName(b) << " word 0x"
-                        << std::hex << word;
-                }
-            }
-        }
-    }
-}
-
 TEST(SimdDiff, GemmKernelsBitExact)
 {
     BackendGuard guard;
@@ -411,32 +302,6 @@ TEST(SimdDiff, GemmKernelsBitExact)
                                         accSimd.data()));
         EXPECT_EQ(std::memcmp(accRef.data(), accSimd.data(), 64), 0)
             << simd::backendName(b);
-    }
-}
-
-TEST(SimdDiff, FindTag64AllPositions)
-{
-    BackendGuard guard;
-    for (simd::Backend b : nativeBackends()) {
-        simd::setBackend(b);
-        for (int assoc = 1; assoc <= 17; assoc++) {
-            std::vector<uint64_t> tags(static_cast<size_t>(assoc));
-            for (int i = 0; i < assoc; i++)
-                tags[static_cast<size_t>(i)] =
-                    0x4000 + static_cast<uint64_t>(i) * 64;
-            for (int hit = 0; hit < assoc; hit++) {
-                int way = -2;
-                ASSERT_TRUE(simd::findTag64(
-                    tags.data(), assoc,
-                    0x4000 + static_cast<uint64_t>(hit) * 64, way));
-                EXPECT_EQ(way, hit)
-                    << simd::backendName(b) << " assoc=" << assoc;
-            }
-            int way = -2;
-            ASSERT_TRUE(
-                simd::findTag64(tags.data(), assoc, 0x9999, way));
-            EXPECT_EQ(way, -1);
-        }
     }
 }
 
