@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -131,43 +132,40 @@ prepareNet(const StudyModel &m, bool training, uint64_t seed,
 
 namespace {
 
+/** One (model, mode) cell of the sweep. */
+struct CellRef
+{
+    StudyModel m;
+    bool training;
+};
+
+/** "<model> (<mode>)", the cell's name in logs, traces and labels. */
+std::string
+cellLabel(const CellRef &c)
+{
+    return std::string(modelName(c.m.id)) + " (" +
+           (c.training ? "training" : "inference") + ")";
+}
+
 /** Thrown when a cell attempt overruns its --cell-timeout budget. */
 struct CellTimeout : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
 
-/**
- * Per-attempt deadline, checked cooperatively at the cell's phase
- * boundaries (after the fault hook, after preparation, after each
- * policy run). Cooperative checkpoints keep the timeout thread-free -
- * no detached watchdogs to leak past a sanitizer run - at the cost of
- * granularity: an attempt is only declared over time once the phase
- * it is inside finishes.
- */
-class Deadline
+/** The one constructor of a CellStatus::Failed row. */
+StudyRow
+failedRow(std::string model, bool training, std::string error,
+          int attempts)
 {
-  public:
-    Deadline(double seconds, const std::string &what)
-        : enabled_(seconds > 0), what_(what)
-    {
-        if (enabled_)
-            at_ = Clock::now() +
-                  std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double>(seconds));
-    }
-
-    void check() const
-    {
-        if (enabled_ && Clock::now() > at_)
-            throw CellTimeout(what_ + " timed out (--cell-timeout)");
-    }
-
-  private:
-    bool enabled_;
-    std::string what_;
-    Clock::time_point at_;
-};
+    StudyRow row;
+    row.model = std::move(model);
+    row.training = training;
+    row.status = CellStatus::Failed;
+    row.error = std::move(error);
+    row.attempts = attempts;
+    return row;
+}
 
 /**
  * One (model, mode) study cell: build + functionally execute the
@@ -178,35 +176,47 @@ class Deadline
  * they share the cell's simulated address space.
  */
 StudyRow
-runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
+runStudyCell(const CellRef &c, const StudyOptions &opt,
              const StudyHarness &h, int attempt, BumpArena &arena,
              bool want_stats)
 {
-    const char *mode = training ? "training" : "inference";
-    inform("preparing %s (%s)...", modelName(m.id), mode);
+    std::string cell = cellLabel(c);
+    inform("preparing %s...", cell.c_str());
     TraceWriter *tw = TraceWriter::global();
-    std::string cell =
-        std::string(modelName(m.id)) + " (" + mode + ")";
-    Deadline deadline(h.cellTimeoutSec, cell);
+
+    // The per-attempt budget is checked cooperatively at the cell's
+    // phase boundaries (after the fault hook, after preparation,
+    // after each policy run): no watchdog thread to leak past a
+    // sanitizer run, at the cost of granularity - an attempt is over
+    // time only once the phase it is inside finishes. Elapsed time
+    // stays in double seconds, so a huge or infinite budget never
+    // fires.
+    Clock::time_point start = Clock::now();
+    auto checkDeadline = [&] {
+        double elapsed =
+            std::chrono::duration<double>(Clock::now() - start).count();
+        if (h.cellTimeoutSec > 0 && elapsed > h.cellTimeoutSec)
+            throw CellTimeout(cell + " timed out (--cell-timeout)");
+    };
 
     if (opt.faultHook)
-        opt.faultHook(m, training, attempt);
-    deadline.check();
+        opt.faultHook(c.m, c.training, attempt);
+    checkDeadline();
 
     // Span timestamps are sampled outside the timed windows: nowUs()
     // before Clock::now() on entry, and after msSince() on exit, so
     // --trace never perturbs the prep/sim wall-clock numbers.
     double tus0 = tw ? tw->nowUs() : 0;
     Clock::time_point t0 = Clock::now();
-    PreparedNet p = prepareNet(m, training, /*seed=*/1, &arena);
+    PreparedNet p = prepareNet(c.m, c.training, /*seed=*/1, &arena);
     StudyRow row;
-    row.model = modelName(m.id);
-    row.training = training;
+    row.model = modelName(c.m.id);
+    row.training = c.training;
     row.prepMillis = msSince(t0);
     row.attempts = attempt;
     if (tw)
         tw->hostSpan("prep " + cell, tus0, tw->nowUs());
-    deadline.check();
+    checkDeadline();
 
     const std::vector<StudyPolicy> &pols = studyPolicies();
     row.results.resize(pols.size());
@@ -225,7 +235,7 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
                              cell,
                          tus1, tw->nowUs());
         }
-        deadline.check();
+        checkDeadline();
     }
 
     // Snapshot the cell's full stats tree only when a report wants
@@ -245,8 +255,8 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
         sim_ms += pi ? "/" : "";
         sim_ms += format("%.0f", row.simMillis[pi]);
     }
-    inform("%s (%s) row done: prep %.0f ms, sim %s ms",
-           modelName(m.id), mode, row.prepMillis, sim_ms.c_str());
+    inform("%s row done: prep %.0f ms, sim %s ms", cell.c_str(),
+           row.prepMillis, sim_ms.c_str());
     return row;
 }
 
@@ -257,19 +267,15 @@ runStudyCell(const StudyModel &m, bool training, const StudyOptions &opt,
  * row instead of propagating out of the pool worker.
  */
 StudyRow
-runStudyCellGuarded(const StudyModel &m, bool training,
-                    const StudyOptions &opt, const StudyHarness &h,
-                    bool want_stats)
+runStudyCellGuarded(const CellRef &c, const StudyOptions &opt,
+                    const StudyHarness &h, bool want_stats)
 {
-    const char *mode = training ? "training" : "inference";
     int max_attempts = 1 + std::max(0, h.retries);
-    int attempts_used = max_attempts;
-    std::string error = "unknown cell fault";
     // One arena per cell: every attempt's tensors and scratch come
     // from it, and a faulted attempt's memory is reclaimed wholesale
     // by the reset below (chunks and warmed pages are retained).
     BumpArena arena;
-    for (int attempt = 1; attempt <= max_attempts; attempt++) {
+    for (int attempt = 1;; attempt++) {
         if (attempt > 1) {
             arena.reset();
             // Doubling backoff, capped so a long retry chain cannot
@@ -280,10 +286,10 @@ runStudyCellGuarded(const StudyModel &m, bool training,
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(wait));
         }
+        std::string error;
         bool aborted = false;
         try {
-            return runStudyCell(m, training, opt, h, attempt, arena,
-                                want_stats);
+            return runStudyCell(c, opt, h, attempt, arena, want_stats);
         } catch (const CellAbort &e) {
             // Deterministic failure: retrying would reproduce it.
             error = format("aborted: %s", e.what());
@@ -298,20 +304,12 @@ runStudyCellGuarded(const StudyModel &m, bool training,
             // warn() below reports it like every other cell fault.
             error = "non-standard exception";
         }
-        warn("%s (%s) attempt %d/%d failed: %s", modelName(m.id),
-             mode, attempt, max_attempts, error.c_str());
-        if (aborted) {
-            attempts_used = attempt;
-            break;
-        }
+        warn("%s attempt %d/%d failed: %s", cellLabel(c).c_str(),
+             attempt, max_attempts, error.c_str());
+        if (aborted || attempt == max_attempts)
+            return failedRow(modelName(c.m.id), c.training, error,
+                             attempt);
     }
-    StudyRow row;
-    row.model = modelName(m.id);
-    row.training = training;
-    row.status = CellStatus::Failed;
-    row.error = error;
-    row.attempts = attempts_used;
-    return row;
 }
 
 } // namespace
@@ -408,21 +406,29 @@ studyRowFromJson(const Json &j)
 {
     if (!j.isObject())
         throw std::runtime_error("study row JSON: not an object");
-    if (const Json *failed = j.find("failed");
-        failed && failed->isBool() && failed->asBool())
-        throw std::runtime_error("study row JSON: failed row");
-
-    StudyRow row;
     const Json &model = rowField(j, "model");
     if (!model.isString())
         throw std::runtime_error("study row JSON: model not a string");
-    row.model = model.asString();
-
     const Json &mode = rowField(j, "mode");
     if (!mode.isString() || (mode.asString() != "training" &&
                              mode.asString() != "inference"))
         throw std::runtime_error("study row JSON: bad mode");
-    row.training = mode.asString() == "training";
+    bool training = mode.asString() == "training";
+
+    if (const Json *failed = j.find("failed");
+        failed && failed->isBool() && failed->asBool()) {
+        const Json &error = rowField(j, "error");
+        const Json &attempts = rowField(j, "attempts");
+        if (!error.isString() || !attempts.isNumber())
+            throw std::runtime_error(
+                "study row JSON: bad failed-row error/attempts");
+        return failedRow(model.asString(), training, error.asString(),
+                         static_cast<int>(attempts.asInt()));
+    }
+
+    StudyRow row;
+    row.model = model.asString();
+    row.training = training;
 
     const Json &prep = rowField(j, "prepMillis");
     if (!prep.isNumber())
@@ -496,200 +502,106 @@ studyHarness()
 
 namespace {
 
-/** One (model, mode) cell reference shared by both execution paths. */
-struct CellRef
+/**
+ * Compute one cell - retries, timeout and failed-row typing included
+ * - and record a successful row in the result cache. Both executors
+ * run cells through here: the in-process pool task and the
+ * --worker-cell process alike.
+ */
+StudyRow
+computeCell(const CellRef &c, const StudyOptions &opt,
+            const StudyHarness &h, bool want_stats, ResultCache *cache)
 {
-    StudyModel m;
-    bool training;
-};
+    StudyRow row = runStudyCellGuarded(c, opt, h, want_stats);
+    if (cache && row.status != CellStatus::Failed)
+        cache->store(studyCellKey(c.m, c.training, want_stats),
+                     studyRowToJson(row));
+    return row;
+}
 
 /** Schema tag of the hidden --worker-cell spec JSON. */
-constexpr const char *workerCellSchema = "zcomp-worker-cell-v1";
+constexpr const char *workerCellSchema = "zcomp-worker-cell-v2";
 
-/** Serialize a cell into the --worker-cell spec the worker parses.
- *  The full StudyModel rides along (not just an index into
- *  studyModels()) so tests can sweep their own tiny models. */
+/**
+ * Serialize a cell into the --worker-cell spec the worker parses. The
+ * full StudyModel rides along (not just an index into studyModels())
+ * so tests can sweep their own tiny models, and so does the harness
+ * context that shapes a row: cache stores, in-worker retries and
+ * their backoff, the cooperative timeout, log verbosity, and the
+ * armed fault spec (part of the cache key). Report, trace and metrics
+ * sinks stay parent-only.
+ */
 std::string
-workerCellSpec(const StudyModel &m, bool training, bool want_stats)
+workerCellSpec(const CellRef &c, const StudyHarness &h, bool want_stats)
 {
     Json s = Json::object();
     s["schema"] = workerCellSchema;
     Json &model = s["model"];
     model = Json::object();
-    model["id"] = static_cast<int64_t>(m.id);
-    model["trainBatch"] = m.trainBatch;
-    model["inferBatch"] = m.inferBatch;
-    model["imageSize"] = m.imageSize;
-    model["widthScale"] = m.widthScale;
-    s["training"] = training;
+    model["id"] = static_cast<int64_t>(c.m.id);
+    model["trainBatch"] = c.m.trainBatch;
+    model["inferBatch"] = c.m.inferBatch;
+    model["imageSize"] = c.m.imageSize;
+    model["widthScale"] = c.m.widthScale;
+    s["training"] = c.training;
     s["wantStats"] = want_stats;
+    Json &ctx = s["harness"];
+    ctx = Json::object();
+    ctx["cacheDir"] = h.cacheDir;
+    ctx["retries"] = std::max(0, h.retries);
+    // JSON has no infinity, and an infinite budget is no budget.
+    ctx["cellTimeoutSec"] =
+        std::isfinite(h.cellTimeoutSec) ? h.cellTimeoutSec : 0.0;
+    ctx["backoffMillis"] = h.backoffMillis;
+    ctx["quiet"] = quiet();
+    ctx["faultSpec"] = FaultInjector::global().spec();
     return s.dump();
 }
 
-std::string
-cellLabel(const StudyModel &m, bool training)
-{
-    return std::string(modelName(m.id)) + " (" +
-           (training ? "training" : "inference") + ")";
-}
-
-/** Decode one worker-reported row (success or typed failure). */
-StudyRow
-rowFromWorkerJson(const Json &j, const CellRef &c)
-{
-    if (const Json *f = j.find("failed");
-        f && f->isBool() && f->asBool()) {
-        StudyRow row;
-        row.model = modelName(c.m.id);
-        row.training = c.training;
-        row.status = CellStatus::Failed;
-        const Json *err = j.find("error");
-        row.error = err && err->isString() ? err->asString()
-                                           : "unknown worker failure";
-        const Json *att = j.find("attempts");
-        row.attempts = att && att->isNumber()
-                           ? static_cast<int>(att->asInt())
-                           : 1;
-        return row;
-    }
-    StudyRow row = studyRowFromJson(j);
-    row.status = CellStatus::Simulated;
-    return row;
-}
-
 /**
- * The --isolate-cells execution path: shard the non-cached cells
- * across worker processes under the SweepSupervisor. Row order and
- * (successful) row bytes are identical to the in-process path -
- * rows round-trip through studyRowToJson/FromJson exactly - while a
- * cell that SIGSEGVs, deadlocks or spins costs exactly itself.
+ * The --isolate-cells executor: shard the pending cells across worker
+ * processes under the SweepSupervisor, handing every outcome to
+ * done() as it arrives. Rows round-trip through
+ * studyRowToJson/FromJson exactly, so row bytes match the in-process
+ * executor, while a cell that SIGSEGVs, deadlocks or spins costs
+ * exactly itself.
  */
-std::vector<StudyRow>
-runStudyIsolated(const std::vector<CellRef> &cells,
-                 const StudyHarness &h, bool want_stats,
-                 const std::shared_ptr<ResultCache> &cache,
-                 const std::shared_ptr<SweepProgress> &progress)
+void
+runIsolated(const std::vector<CellRef> &cells,
+            const std::vector<size_t> &pending, const StudyHarness &h,
+            bool want_stats,
+            const std::function<void(size_t, StudyRow)> &done)
 {
-    std::vector<std::optional<StudyRow>> rows(cells.size());
-
-    // Resume pre-pass, identical in behavior to the in-process path:
-    // cached cells never reach a worker.
     std::vector<SweepCell> todo;
-    std::vector<size_t> todo_idx;
-    for (size_t i = 0; i < cells.size(); i++) {
-        const CellRef &c = cells[i];
-        if (cache && h.resume) {
-            std::string key =
-                studyCellKey(c.m, c.training, want_stats);
-            if (std::optional<Json> v = cache->lookup(key)) {
-                try {
-                    StudyRow row = studyRowFromJson(*v);
-                    row.status = CellStatus::Cached;
-                    inform("%s (%s) restored from cache",
-                           modelName(c.m.id),
-                           c.training ? "training" : "inference");
-                    rows[i] = std::move(row);
-                    if (progress)
-                        progress->cellDone(/*cached=*/true,
-                                           /*failed=*/false,
-                                           /*attempts=*/1);
-                    continue;
-                } catch (const std::exception &e) {
-                    warn("result cache: entry for %s (%s) does not "
-                         "decode (%s); re-simulating",
-                         modelName(c.m.id),
-                         c.training ? "training" : "inference",
-                         e.what());
-                }
-            }
-        }
-        todo.push_back({workerCellSpec(c.m, c.training, want_stats),
-                        cellLabel(c.m, c.training)});
-        todo_idx.push_back(i);
-    }
+    todo.reserve(pending.size());
+    for (size_t i : pending)
+        todo.push_back({workerCellSpec(cells[i], h, want_stats),
+                        cellLabel(cells[i])});
 
-    if (!todo.empty()) {
-        SweepSupervisorOptions sopt;
-        sopt.workerArgv = h.workerArgv;
-        if (sopt.workerArgv.empty())
-            sopt.workerArgv.push_back("/proc/self/exe");
-        // Re-arm the worker with exactly the harness context that
-        // changes a row: cache (stores), in-worker retries and the
-        // cooperative timeout, and the fault spec (part of the cache
-        // key). Report/trace/metrics stay parent-only.
-        if (!h.cacheDir.empty()) {
-            sopt.workerArgv.push_back("--cache");
-            sopt.workerArgv.push_back(h.cacheDir);
+    SweepSupervisorOptions sopt;
+    sopt.workers = std::max(1, h.workers);
+    sopt.hardTimeoutSec = h.hardTimeoutSec;
+    sopt.heartbeatTimeoutSec = h.heartbeatTimeoutSec;
+    sopt.backoffMillis = h.backoffMillis;
+    sopt.onCellDone = [&](size_t j, const SweepCellResult &r) {
+        const CellRef &c = cells[pending[j]];
+        StudyRow row;
+        try {
+            // !r.ok is the out-of-process failure domain: signal
+            // name, hard timeout or heartbeat loss, straight from
+            // the supervisor.
+            row = r.ok ? studyRowFromJson(r.row)
+                       : failedRow(modelName(c.m.id), c.training,
+                                   r.error, r.attempts);
+        } catch (const std::exception &e) {
+            row = failedRow(modelName(c.m.id), c.training,
+                            format("worker row does not decode: %s",
+                                   e.what()),
+                            r.attempts);
         }
-        if (h.retries > 0) {
-            sopt.workerArgv.push_back("--retries");
-            sopt.workerArgv.push_back(format("%d", h.retries));
-        }
-        if (h.cellTimeoutSec > 0) {
-            sopt.workerArgv.push_back("--cell-timeout");
-            sopt.workerArgv.push_back(format("%g", h.cellTimeoutSec));
-        }
-        if (!h.faultSpec.empty()) {
-            sopt.workerArgv.push_back("--fault-spec");
-            sopt.workerArgv.push_back(h.faultSpec);
-        }
-        if (quiet())
-            sopt.workerArgv.push_back("--quiet");
-        sopt.workers = std::max(1, h.workers);
-        sopt.hardTimeoutSec = h.hardTimeoutSec;
-        sopt.heartbeatTimeoutSec = h.heartbeatTimeoutSec;
-        sopt.backoffMillis = h.backoffMillis;
-        sopt.onCellDone = [&progress](const SweepCellResult &r) {
-            if (!progress)
-                return;
-            bool failed = !r.ok;
-            if (r.ok) {
-                const Json *f = r.row.find("failed");
-                failed = f && f->isBool() && f->asBool();
-            }
-            progress->cellDone(/*cached=*/false, failed,
-                               std::max(1, r.attempts));
-        };
-
-        SweepSupervisor sup(sopt);
-        std::vector<SweepCellResult> results = sup.run(todo);
-        for (size_t j = 0; j < results.size(); j++) {
-            const SweepCellResult &r = results[j];
-            const CellRef &c = cells[todo_idx[j]];
-            StudyRow row;
-            if (r.ok) {
-                try {
-                    row = rowFromWorkerJson(r.row, c);
-                } catch (const std::exception &e) {
-                    row.model = modelName(c.m.id);
-                    row.training = c.training;
-                    row.status = CellStatus::Failed;
-                    row.error = format(
-                        "worker row does not decode: %s", e.what());
-                    row.attempts = std::max(1, r.attempts);
-                }
-            } else {
-                // Out-of-process failure domain: signal name, hard
-                // timeout or heartbeat loss, straight from the
-                // supervisor.
-                row.model = modelName(c.m.id);
-                row.training = c.training;
-                row.status = CellStatus::Failed;
-                row.error = r.error;
-                row.attempts = std::max(1, r.attempts);
-            }
-            rows[todo_idx[j]] = std::move(row);
-        }
-    }
-
-    std::vector<StudyRow> out;
-    out.reserve(cells.size());
-    for (std::optional<StudyRow> &row : rows) {
-        panic_if(!row.has_value(), "isolated study cell never "
-                                   "resolved");
-        out.push_back(std::move(*row));
-    }
-    return out;
+        done(pending[j], std::move(row));
+    };
+    SweepSupervisor(sopt).run(todo);
 }
 
 } // namespace
@@ -706,9 +618,9 @@ runStudy(const StudyOptions &opt)
     // collected is part of the cache key: a cached row can only stand
     // in for a fresh one when both would carry the same fields.
     bool want_stats = RunReport::global() != nullptr;
-    std::shared_ptr<ResultCache> cache;
+    std::optional<ResultCache> cache;
     if (!h.cacheDir.empty())
-        cache = std::make_shared<ResultCache>(h.cacheDir);
+        cache.emplace(h.cacheDir);
 
     std::vector<CellRef> cells;
     for (const StudyModel &m : models) {
@@ -722,85 +634,75 @@ runStudy(const StudyOptions &opt)
         }
     }
 
-    // Fan the cells out; collecting the futures in submission order
-    // keeps the row order (and hence the figure output) identical to
-    // the sequential loop. With a 1-job pool, submit() runs inline
-    // and this *is* the sequential loop. Cells restored from the
-    // cache become pre-resolved futures in the same sequence, so
-    // resumed and uninterrupted runs order rows identically.
     // Host-domain sweep telemetry: progress records into the metrics
     // JSONL and/or the live status line. Constructed only when either
     // consumer exists, so flag-free runs carry zero extra work.
     bool live = h.progress && !quiet() && isatty(STDERR_FILENO);
-    std::shared_ptr<SweepProgress> progress;
+    std::unique_ptr<SweepProgress> progress;
     if (live || MetricsSink::global())
-        progress = std::make_shared<SweepProgress>(cells.size(), live);
+        progress = std::make_unique<SweepProgress>(cells.size(), live);
 
-    std::vector<StudyRow> rows;
-    if (h.isolateCells) {
-        // Out-of-process sharding: one worker process per cell under
-        // the SweepSupervisor, so a crash costs exactly one cell.
-        rows = runStudyIsolated(cells, h, want_stats, cache,
-                                progress);
-    } else {
-        std::vector<std::future<StudyRow>> futs;
-        futs.reserve(cells.size());
-        for (const CellRef &cell : cells) {
-            StudyModel m = cell.m;
-            bool training = cell.training;
-            std::string key =
-                cache ? studyCellKey(m, training, want_stats)
-                      : std::string();
-
-            if (cache && h.resume) {
-                if (std::optional<Json> v = cache->lookup(key)) {
-                    try {
-                        StudyRow row = studyRowFromJson(*v);
-                        row.status = CellStatus::Cached;
-                        inform("%s (%s) restored from cache",
-                               modelName(m.id),
-                               training ? "training" : "inference");
-                        std::promise<StudyRow> done;
-                        done.set_value(std::move(row));
-                        futs.push_back(done.get_future());
-                        if (progress)
-                            progress->cellDone(/*cached=*/true,
-                                               /*failed=*/false,
-                                               /*attempts=*/1);
-                        continue;
-                    } catch (const std::exception &e) {
-                        warn("result cache: entry for %s (%s) does "
-                             "not decode (%s); re-simulating",
-                             modelName(m.id),
-                             training ? "training" : "inference",
-                             e.what());
-                    }
-                }
-            }
-            futs.push_back(pool.submit([m, training, key, cache,
-                                        progress, want_stats, &opt,
-                                        &h] {
-                StudyRow row = runStudyCellGuarded(m, training, opt,
-                                                   h, want_stats);
-                if (cache && row.status != CellStatus::Failed)
-                    cache->store(key, studyRowToJson(row));
-                if (progress)
-                    progress->cellDone(
-                        /*cached=*/false,
-                        row.status == CellStatus::Failed,
-                        row.attempts);
-                return row;
-            }));
+    // Every row - cached, computed in-process or reported by a worker
+    // - lands here, by cell index, so row order (and hence the figure
+    // output) is the cell order whatever finished first. Pool tasks
+    // call this concurrently, each for its own index.
+    std::vector<StudyRow> rows(cells.size());
+    auto done = [&rows, &progress](size_t i, StudyRow row) {
+        if (progress) {
+            bool cached = row.status == CellStatus::Cached;
+            progress->cellDone(cached,
+                               row.status == CellStatus::Failed,
+                               cached ? 1 : row.attempts);
         }
-        rows.reserve(futs.size());
-        for (std::future<StudyRow> &f : futs)
-            rows.push_back(f.get());
+        rows[i] = std::move(row);
+    };
+
+    // Resume pre-pass: cached cells never reach an executor. A failed
+    // row is never stored, and decoding one counts as a miss.
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < cells.size(); i++) {
+        const CellRef &c = cells[i];
+        std::optional<Json> v;
+        if (cache && h.resume)
+            v = cache->lookup(studyCellKey(c.m, c.training, want_stats));
+        if (v) {
+            try {
+                StudyRow row = studyRowFromJson(*v);
+                if (row.status != CellStatus::Failed) {
+                    row.status = CellStatus::Cached;
+                    inform("%s restored from cache", cellLabel(c).c_str());
+                    done(i, std::move(row));
+                    continue;
+                }
+            } catch (const std::exception &e) {
+                warn("result cache: entry for %s does not decode (%s); "
+                     "re-simulating",
+                     cellLabel(c).c_str(), e.what());
+            }
+        }
+        pending.push_back(i);
     }
-    // Clear the status line before the tables print: pool task
-    // objects may still hold copies of the reporter, so the
-    // destructor alone cannot be relied on to run here.
-    if (progress)
-        progress->finish();
+
+    if (h.isolateCells) {
+        runIsolated(cells, pending, h, want_stats, done);
+    } else {
+        // One pool task per cell. With a 1-job pool, submit() runs
+        // inline and this is the sequential loop.
+        std::vector<std::future<void>> futs;
+        futs.reserve(pending.size());
+        ResultCache *store = cache ? &*cache : nullptr;
+        for (size_t i : pending)
+            futs.push_back(pool.submit([&, i] {
+                done(i, computeCell(cells[i], opt, h, want_stats, store));
+            }));
+        // Every task captures this frame by reference: wait for all
+        // of them before get() can rethrow and unwind it.
+        for (std::future<void> &f : futs)
+            f.wait();
+        for (std::future<void> &f : futs)
+            f.get();
+    }
+    // Clear the status line before the tables print.
     progress.reset();
 
     uint64_t cached = 0, failed = 0;
@@ -1011,86 +913,79 @@ maybeCrashForTest(const StudyModel &m, bool training)
 /** The parsed --worker-cell spec (see workerCellSpec()). */
 struct WorkerCell
 {
-    StudyModel m;
-    bool training = false;
+    CellRef cell;
     bool wantStats = false;
+    StudyHarness h;
 };
 
+/** A required, typed field of the --worker-cell spec; fatal()s when
+ *  it is missing or has the wrong JSON type. */
+const Json &
+specField(const Json &obj, const char *key, bool (Json::*is)() const)
+{
+    const Json *v = obj.find(key);
+    fatal_if(!v || !(v->*is)(),
+             "--worker-cell spec: missing or mistyped '%s'", key);
+    return *v;
+}
+
+/** Parse a --worker-cell spec, applying its quiet flag and fault spec
+ *  to this (worker) process. */
 WorkerCell
-parseWorkerCellSpec(const std::string &spec)
+loadWorkerCellSpec(const std::string &spec)
 {
     std::string err;
     Json j = Json::parse(spec, &err);
     fatal_if(!err.empty() || !j.isObject(),
              "bad --worker-cell spec: %s",
              err.empty() ? "not an object" : err.c_str());
-    const Json *schema = j.find("schema");
-    fatal_if(!schema || !schema->isString() ||
-                 schema->asString() != workerCellSchema,
-             "--worker-cell spec has the wrong schema");
-    const Json *model = j.find("model");
-    fatal_if(!model || !model->isObject(),
-             "--worker-cell spec: missing model");
-    auto num = [&](const char *key) {
-        const Json *v = model->find(key);
-        fatal_if(!v || !v->isNumber(),
-                 "--worker-cell spec: missing model.%s", key);
-        return v->asDouble();
+    fatal_if(specField(j, "schema", &Json::isString).asString() !=
+                 workerCellSchema,
+             "--worker-cell spec has the wrong schema (want %s)",
+             workerCellSchema);
+    auto num = [](const Json &obj, const char *key) {
+        return specField(obj, key, &Json::isNumber).asDouble();
     };
+    // Range-checked before the narrowing cast: an out-of-range double
+    // converted to int is undefined behaviour.
+    auto integer = [&num](const Json &obj, const char *key, int lo,
+                          int hi) {
+        double v = num(obj, key);
+        fatal_if(!(v >= lo && v <= hi) || v != std::floor(v),
+                 "--worker-cell spec: '%s' is %g, not an integer in "
+                 "[%d, %d]",
+                 key, v, lo, hi);
+        return static_cast<int>(v);
+    };
+    auto flag = [](const Json &obj, const char *key) {
+        return specField(obj, key, &Json::isBool).asBool();
+    };
+    auto text = [](const Json &obj, const char *key) {
+        return specField(obj, key, &Json::isString).asString();
+    };
+
     WorkerCell wc;
-    long id = static_cast<long>(num("id"));
-    fatal_if(id < 0 || id >= numModels,
-             "--worker-cell spec: bad model id %ld", id);
-    wc.m.id = static_cast<ModelId>(id);
-    wc.m.trainBatch = static_cast<int>(num("trainBatch"));
-    wc.m.inferBatch = static_cast<int>(num("inferBatch"));
-    wc.m.imageSize = static_cast<int>(num("imageSize"));
-    wc.m.widthScale = num("widthScale");
-    const Json *training = j.find("training");
-    fatal_if(!training || !training->isBool(),
-             "--worker-cell spec: missing training");
-    wc.training = training->asBool();
-    const Json *stats = j.find("wantStats");
-    fatal_if(!stats || !stats->isBool(),
-             "--worker-cell spec: missing wantStats");
-    wc.wantStats = stats->asBool();
+    const Json &model = specField(j, "model", &Json::isObject);
+    wc.cell.m.id = static_cast<ModelId>(
+        integer(model, "id", 0, numModels - 1));
+    wc.cell.m.trainBatch = integer(model, "trainBatch", 1, 1 << 20);
+    wc.cell.m.inferBatch = integer(model, "inferBatch", 1, 1 << 20);
+    wc.cell.m.imageSize = integer(model, "imageSize", 0, 1 << 16);
+    wc.cell.m.widthScale = num(model, "widthScale");
+    wc.cell.training = flag(j, "training");
+    wc.wantStats = flag(j, "wantStats");
+
+    const Json &ctx = specField(j, "harness", &Json::isObject);
+    wc.h.cacheDir = text(ctx, "cacheDir");
+    wc.h.retries = integer(ctx, "retries", 0, 1000000);
+    wc.h.cellTimeoutSec = num(ctx, "cellTimeoutSec");
+    fatal_if(!(wc.h.cellTimeoutSec >= 0),
+             "--worker-cell spec: negative cellTimeoutSec");
+    // The bound keeps the retry backoff's left shift from overflowing.
+    wc.h.backoffMillis = integer(ctx, "backoffMillis", 0, 1000000);
+    setQuiet(flag(ctx, "quiet"));
+    FaultInjector::global().configure(text(ctx, "faultSpec"));
     return wc;
-}
-
-int
-runWorkerCell(const WorkerCell &wc, const StudyHarness &h)
-{
-    std::string cell = cellLabel(wc.m, wc.training);
-    {
-        Json r = Json::object();
-        r["kind"] = "hello";
-        r["cell"] = cell;
-        r["pid"] = static_cast<int64_t>(getpid());
-        emitWorkerRecord(std::move(r));
-    }
-    WorkerHeartbeat heartbeat(cell);
-    maybeCrashForTest(wc.m, wc.training);
-
-    StudyOptions opt;
-    opt.harness = &h;
-    StudyRow row =
-        runStudyCellGuarded(wc.m, wc.training, opt, h, wc.wantStats);
-
-    // The worker stores its own row: the cache is the data plane
-    // between workers and any later --resume, and a supervisor that
-    // dies after this point loses coordination, not results.
-    if (!h.cacheDir.empty() && row.status != CellStatus::Failed) {
-        ResultCache cache(h.cacheDir);
-        cache.store(studyCellKey(wc.m, wc.training, wc.wantStats),
-                    studyRowToJson(row));
-    }
-
-    Json r = Json::object();
-    r["kind"] = "result";
-    r["cell"] = cell;
-    r["row"] = studyRowToJson(row);
-    emitWorkerRecord(std::move(r));
-    return 0;
 }
 
 } // namespace
@@ -1098,48 +993,47 @@ runWorkerCell(const WorkerCell &wc, const StudyHarness &h)
 void
 maybeRunWorkerCell(int argc, char **argv)
 {
-    bool found = false;
-    for (int i = 1; i < argc && !found; i++)
-        found = std::strcmp(argv[i], "--worker-cell") == 0 ||
-                std::strncmp(argv[i], "--worker-cell=", 14) == 0;
-    if (!found)
+    const char *spec = nullptr;
+    int i = 1;
+    if (argc < 2 ||
+        !valueArg(argc, argv, i, "--worker-cell", nullptr, &spec))
         return;
+    // The spec carries the worker's whole context, so a worker goes
+    // through no parseBenchArgs: no banner, no report/trace/metrics
+    // sinks, no atexit machinery, and no other argument.
+    fatal_if(i != argc - 1,
+             "a worker takes exactly one argument: --worker-cell SPEC");
+    WorkerCell wc = loadWorkerCellSpec(spec);
 
-    // Workers parse their own (supervisor-built) argv instead of
-    // going through parseBenchArgs: no banner, no report/trace/
-    // metrics sinks, no atexit machinery - just the harness context
-    // that shapes a row.
-    std::string spec;
-    StudyHarness h;
-    for (int i = 1; i < argc; i++) {
-        const char *arg = argv[i];
-        const char *value = nullptr;
-        if (std::strcmp(arg, "--quiet") == 0 ||
-            std::strcmp(arg, "-q") == 0) {
-            setQuiet(true);
-        } else if (valueArg(argc, argv, i, "--worker-cell", nullptr,
-                            &value)) {
-            spec = value;
-        } else if (valueArg(argc, argv, i, "--cache", nullptr,
-                            &value)) {
-            h.cacheDir = value;
-        } else if (valueArg(argc, argv, i, "--retries", nullptr,
-                            &value)) {
-            h.retries = static_cast<int>(
-                intValue("--retries", value, 0, 100));
-        } else if (valueArg(argc, argv, i, "--cell-timeout", nullptr,
-                            &value)) {
-            h.cellTimeoutSec = secondsValue("--cell-timeout", value);
-        } else if (valueArg(argc, argv, i, "--fault-spec", nullptr,
-                            &value)) {
-            h.faultSpec = value;
-            FaultInjector::global().configure(value);
-        } else {
-            fatal("unknown worker argument '%s'", arg);
-        }
+    std::string cell = cellLabel(wc.cell);
+    {
+        Json r = Json::object();
+        r["kind"] = "hello";
+        r["cell"] = cell;
+        r["pid"] = static_cast<int64_t>(getpid());
+        emitWorkerRecord(std::move(r));
     }
-    fatal_if(spec.empty(), "--worker-cell needs a spec");
-    std::exit(runWorkerCell(parseWorkerCellSpec(spec), h));
+    {
+        WorkerHeartbeat heartbeat(cell);
+        maybeCrashForTest(wc.cell.m, wc.cell.training);
+
+        // The worker stores its own row: the cache is the data plane
+        // between workers and any later --resume, and a supervisor
+        // that dies after this point loses coordination, not results.
+        std::optional<ResultCache> cache;
+        if (!wc.h.cacheDir.empty())
+            cache.emplace(wc.h.cacheDir);
+        StudyRow row = computeCell(wc.cell, StudyOptions{}, wc.h,
+                                   wc.wantStats,
+                                   cache ? &*cache : nullptr);
+
+        Json r = Json::object();
+        r["kind"] = "result";
+        r["cell"] = cell;
+        r["row"] = studyRowToJson(row);
+        emitWorkerRecord(std::move(r));
+    }
+    std::exit(0);
 }
 
 void
@@ -1275,7 +1169,6 @@ parseBenchArgs(int argc, char **argv, const std::string &title)
                 intValue("--fail-budget", value, 0, 1000000));
         } else if (valueArg(argc, argv, i, "--fault-spec", nullptr,
                             &value)) {
-            h.faultSpec = value;
             FaultInjector::global().configure(value);
         } else if (valueArg(argc, argv, i, "--cell-timeout", nullptr,
                             &value)) {

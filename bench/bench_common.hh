@@ -5,14 +5,17 @@
  * (documented in EXPERIMENTS.md), functional execution driving, and
  * the per-policy study runner behind Figures 2, 13 and 14.
  *
- * The study runner fans its (model, mode) cells out over a
- * ThreadPool - each cell owns a private ExecContext/MemoryHierarchy,
+ * Each (model, mode) cell owns a private ExecContext/MemoryHierarchy,
  * prepares its network once, and times every studyPolicies() I/O
- * policy sequentially against those shared read-only tensors. Rows come
- * back in the same deterministic order as the old sequential loop
- * and with bitwise-identical numbers for any worker count;
- * parallelism only ever spans independent simulations, never the
- * inside of one timing run.
+ * policy sequentially against those shared read-only tensors. The
+ * runner has one cell path: a --resume pre-pass restores cached
+ * cells, then one of two executors computes the rest - one ThreadPool
+ * task per cell in-process, or one worker process per cell under the
+ * SweepSupervisor (--isolate-cells) - and both hand every row to the
+ * same callback, which reports progress and stores the row by cell
+ * index. Rows come back in cell order with bitwise-identical numbers
+ * for any worker count; parallelism only ever spans independent
+ * simulations, never the inside of one timing run.
  *
  * The runner is fault-tolerant and resumable (see EXPERIMENTS.md):
  *  - every completed cell can be written to an on-disk ResultCache
@@ -149,11 +152,12 @@ struct StudyRow
 Json studyRowToJson(const StudyRow &row);
 
 /**
- * Rebuild a successful StudyRow from its studyRowToJson() form.
- * Round-trips exactly (doubles print with full precision, integers
- * verbatim), so a cached row re-serializes byte-identically. Throws
- * std::runtime_error on missing/mistyped fields or failed rows, so
- * corrupt cache entries degrade to a re-simulation.
+ * Rebuild a StudyRow from its studyRowToJson() form, failed rows
+ * included (status == CellStatus::Failed). Round-trips exactly
+ * (doubles print with full precision, integers verbatim), so a cached
+ * row re-serializes byte-identically. Throws std::runtime_error on
+ * missing/mistyped fields, so corrupt cache entries degrade to a
+ * re-simulation.
  */
 StudyRow studyRowFromJson(const Json &j);
 
@@ -201,12 +205,6 @@ struct StudyHarness
     /** Max seconds of worker status-channel silence before the
      *  supervisor declares it hung and SIGKILLs it; 0 = none. */
     double heartbeatTimeoutSec = 30;
-    /** The --fault-spec string verbatim, re-armed in every worker so
-     *  isolated and in-process sweeps inject identically. */
-    std::string faultSpec;
-    /** Worker re-invocation argv; empty = /proc/self/exe plus the
-     *  harness flags above (tests override to add their own). */
-    std::vector<std::string> workerArgv;
 };
 
 /** The process-wide harness knobs parseBenchArgs() populates. */
@@ -296,12 +294,16 @@ std::vector<StudyRow> runFullStudy(bool training_only = false,
 void parseBenchArgs(int argc, char **argv, const std::string &title);
 
 /**
- * Worker-mode entry point for --isolate-cells. When argv carries the
+ * Worker-mode entry point for --isolate-cells. When argv[1] is the
  * hidden `--worker-cell <spec>` flag this computes exactly that one
  * study cell, speaking the supervisor's JSONL protocol on stdout
- * (hello / heartbeat / result records, schema zcomp-worker-v1),
- * stores the row into --cache when given one, and never returns
- * (std::exit). Without the flag it is a no-op.
+ * (hello / heartbeat / result records, schema zcomp-worker-v1), and
+ * never returns (std::exit). The spec JSON (schema
+ * zcomp-worker-cell-v2) carries the cell and the harness context
+ * that shapes its row - cache dir, retries, backoff, cell timeout,
+ * quiet and the armed fault spec - so a worker takes no other
+ * argument; a malformed spec, or any extra argument, fatal()s.
+ * Without the flag it is a no-op.
  *
  * parseBenchArgs() calls this first, so every bench binary doubles
  * as its own worker; test binaries with a custom main() call it

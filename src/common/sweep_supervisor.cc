@@ -60,8 +60,8 @@ SweepSupervisor::SweepSupervisor(SweepSupervisorOptions opt)
     : opt_(std::move(opt)), backoff_(opt_.backoffMillis),
       nextSpawnAt_(Clock::now())
 {
-    fatal_if(opt_.workerArgv.empty(),
-             "sweep supervisor needs a worker argv");
+    fatal_if(opt_.workerCommand.empty(),
+             "sweep supervisor needs a worker command");
     fatal_if(opt_.workers < 1, "sweep supervisor needs >= 1 worker");
     if (backoff_ < 1)
         backoff_ = 1;
@@ -74,7 +74,7 @@ SweepSupervisor::spawnWorker(std::vector<WorkerSlot> &live,
 {
     CellState &cs = state[cell_idx];
     Subprocess::Options sopt;
-    sopt.argv = opt_.workerArgv;
+    sopt.argv = opt_.workerCommand;
     sopt.argv.push_back("--worker-cell");
     sopt.argv.push_back(cs.cell->spec);
 
@@ -104,9 +104,7 @@ SweepSupervisor::spawnWorker(std::vector<WorkerSlot> &live,
 }
 
 void
-SweepSupervisor::handleRecord(WorkerSlot &w,
-                              std::vector<CellState> &state,
-                              const std::string &line)
+SweepSupervisor::handleRecord(WorkerSlot &w, const std::string &line)
 {
     if (line.empty())
         return;
@@ -138,7 +136,6 @@ SweepSupervisor::handleRecord(WorkerSlot &w,
     }
     // hello / heartbeat / result all count as signs of life; the
     // lastHeard update in the drain loop already covered this line.
-    (void)state;
 }
 
 void
@@ -157,7 +154,7 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
     std::vector<std::string> lines;
     w.out->poll(lines);
     for (const std::string &l : lines)
-        handleRecord(w, state, l);
+        handleRecord(w, l);
     lines.clear();
     w.err->poll(lines);
     for (const std::string &l : lines)
@@ -202,7 +199,7 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
                 other.proc->kill();
         }
         if (opt_.onCellDone)
-            opt_.onCellDone(cs.result);
+            opt_.onCellDone(w.cellIdx, cs.result);
         return;
     }
 
@@ -257,7 +254,7 @@ SweepSupervisor::finishWorker(WorkerSlot &w,
     cs.result.signalName = cs.lastSignal;
     cs.result.attempts = cs.attempts;
     if (opt_.onCellDone)
-        opt_.onCellDone(cs.result);
+        opt_.onCellDone(w.cellIdx, cs.result);
 }
 
 std::vector<SweepCellResult>
@@ -321,7 +318,7 @@ SweepSupervisor::run(const std::vector<SweepCell> &cells)
                 activity = true;
                 w.lastHeard = now;
                 for (const std::string &l : lines)
-                    handleRecord(w, state, l);
+                    handleRecord(w, l);
             }
             lines.clear();
             w.err->poll(lines);

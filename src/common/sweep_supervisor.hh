@@ -5,7 +5,7 @@
  *
  * The in-process study runner is resilient only to *exceptions*:
  * --retries / --cell-timeout / --fail-budget all assume the cell
- * unwinds cooperatively, and the Deadline in bench_common.cc is
+ * unwinds cooperatively, and the --cell-timeout in bench_common.cc is
  * checked at phase boundaries - a cell that SIGSEGVs, deadlocks or
  * spins never reaches a check and takes the whole sweep (and every
  * in-flight result) with it. The supervisor closes that gap by
@@ -14,9 +14,12 @@
  *
  *  - Sharding: (model, mode) cells are dealt to up to N concurrent
  *    worker processes; each worker is the same bench binary
- *    re-invoked with a hidden `--worker-cell <spec>` flag, computes
- *    one cell, stores the row into the shared --cache dir, and
- *    reports it back over stdout.
+ *    re-invoked as `/proc/self/exe --worker-cell <spec>`, where the
+ *    spec carries the cell and its harness context (cache dir,
+ *    retries, timeout, fault spec). It computes one cell, stores the
+ *    row into the shared cache dir, and reports it back over stdout;
+ *    onCellDone hands each outcome to the caller with the cell's
+ *    input index as it arrives.
  *  - Protocol: worker stdout is a JSONL status channel (hello /
  *    heartbeat / result records); worker stderr carries human log
  *    lines, which the supervisor forwards through logRawLine() so
@@ -24,7 +27,7 @@
  *  - Hard deadlines: every worker is monitored against a wall-clock
  *    hard timeout and a heartbeat-silence timeout. A hung or crashed
  *    cell is SIGKILLed and recorded as a typed failed row carrying
- *    the signal name - enforcement the cooperative Deadline cannot
+ *    the signal name - enforcement the cooperative --cell-timeout cannot
  *    provide.
  *  - Restart with backoff: after a crash the next spawn is delayed
  *    by a doubling backoff (reset on any clean exit), so a broken
@@ -91,9 +94,10 @@ struct SweepCellResult {
 };
 
 struct SweepSupervisorOptions {
-    /** Base argv of the worker binary; the supervisor appends
-     *  "--worker-cell <spec>" per launch. */
-    std::vector<std::string> workerArgv;
+    /** Base command of the worker; the supervisor appends
+     *  "--worker-cell <spec>" per launch. The default re-invokes the
+     *  running binary, which every bench main serves as a worker. */
+    std::vector<std::string> workerCommand = {"/proc/self/exe"};
     /** Maximum concurrent worker processes. */
     int workers = 2;
     /** Per-attempt wall-clock hard deadline in seconds (0 = none). */
@@ -109,8 +113,10 @@ struct SweepSupervisorOptions {
     bool workStealing = true;
     /** A cell must run at least this long before it is stolen. */
     int stealAfterMillis = 500;
-    /** Invoked once per finished cell, in completion order. */
-    std::function<void(const SweepCellResult &)> onCellDone;
+    /** Invoked once per finished cell, in completion order, with the
+     *  cell's index into the run() input. */
+    std::function<void(size_t index, const SweepCellResult &)>
+        onCellDone;
 };
 
 class SweepSupervisor
@@ -135,8 +141,7 @@ class SweepSupervisor
     void spawnWorker(std::vector<WorkerSlot> &live,
                      std::vector<CellState> &state, size_t cell_idx,
                      bool stolen);
-    void handleRecord(WorkerSlot &w, std::vector<CellState> &state,
-                      const std::string &line);
+    void handleRecord(WorkerSlot &w, const std::string &line);
     void finishWorker(WorkerSlot &w, std::vector<WorkerSlot> &live,
                       std::vector<CellState> &state);
 

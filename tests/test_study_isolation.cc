@@ -19,6 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include <sys/wait.h>
+
+#include "common/fault.hh"
 #include "common/log.hh"
 #include "common/subprocess.hh"
 
@@ -125,6 +128,82 @@ TEST(StudyIsolation, IsolatedRowsMatchInProcessRowsExactly)
         EXPECT_EQ(canonRow(isolated[i]), canonRow(inproc[i]))
             << "row " << i;
     }
+}
+
+/**
+ * Isolated workers take the armed fault spec from the cell spec, so
+ * an injector configured through the API (not --fault-spec) injects
+ * in workers as it does in-process. One cell only: fault caps and
+ * streams are per process, so a multi-cell sweep draws differently
+ * once its cells are spread over workers.
+ */
+TEST(StudyIsolation, IsolatedWorkersInjectLikeInProcess)
+{
+    StudyOptions opt = quickOptions();
+    opt.inferenceOnly = true;
+    ThreadPool seq(1);
+    opt.pool = &seq;
+    StudyHarness h;
+    h.retries = 2;
+    h.backoffMillis = 1;
+    opt.harness = &h;
+    // prob 1, seed 1, at most 2 injections: attempts 1 and 2 fault,
+    // attempt 3 completes.
+    FaultInjector::global().configure("kernel.transient:1:1:2");
+    std::vector<StudyRow> inproc = runQuiet(opt);
+
+    StudyHarness iso = isolatedHarness(1);
+    iso.retries = h.retries;
+    opt.harness = &iso;
+    FaultInjector::global().configure("kernel.transient:1:1:2");
+    std::vector<StudyRow> isolated = runQuiet(opt);
+    FaultInjector::global().reset();
+
+    ASSERT_EQ(inproc.size(), 1u);
+    ASSERT_EQ(isolated.size(), 1u);
+    EXPECT_EQ(inproc[0].status, CellStatus::Simulated);
+    EXPECT_EQ(isolated[0].status, CellStatus::Simulated);
+    EXPECT_EQ(inproc[0].attempts, 3);
+    EXPECT_EQ(isolated[0].attempts, 3);
+    EXPECT_EQ(canonRow(isolated[0]), canonRow(inproc[0]));
+}
+
+/**
+ * The --worker-cell spec is input from outside the process: a spec
+ * of the old schema, one without the harness context, or one with an
+ * out-of-range integer must stop the worker with a non-zero exit
+ * instead of running the cell.
+ */
+TEST(StudyIsolationDeathTest, MalformedWorkerSpecExitsNonZero)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto runWorker = [](const std::string &spec) {
+        std::string exe = "worker", flag = "--worker-cell";
+        std::string arg = spec;
+        char *argv[] = {exe.data(), flag.data(), arg.data(), nullptr};
+        maybeRunWorkerCell(3, argv);
+    };
+    auto nonZero = [](int status) {
+        return WIFEXITED(status) && WEXITSTATUS(status) != 0;
+    };
+    const std::string cell =
+        "\"model\":{\"id\":3,\"trainBatch\":2,\"inferBatch\":1,"
+        "\"imageSize\":0,\"widthScale\":1},"
+        "\"training\":false,\"wantStats\":false";
+    EXPECT_EXIT(runWorker("{\"schema\":\"zcomp-worker-cell-v1\"," +
+                          cell + "}"),
+                nonZero, "wrong schema");
+    EXPECT_EXIT(runWorker("{\"schema\":\"zcomp-worker-cell-v2\"," +
+                          cell + "}"),
+                nonZero, "harness");
+    // A value out of range for its int field is refused, not cast.
+    EXPECT_EXIT(runWorker("{\"schema\":\"zcomp-worker-cell-v2\"," +
+                          cell +
+                          ",\"harness\":{\"cacheDir\":\"\","
+                          "\"retries\":0,\"cellTimeoutSec\":0,"
+                          "\"backoffMillis\":1e12,\"quiet\":true,"
+                          "\"faultSpec\":\"\"}}"),
+                nonZero, "backoffMillis");
 }
 
 /**

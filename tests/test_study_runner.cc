@@ -5,6 +5,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 
@@ -333,7 +334,36 @@ TEST(StudyRunner, CellTimeout)
         << rows[0].error;
 }
 
-/** Successful study rows round-trip through JSON byte-identically. */
+/**
+ * A budget too large for an integer nanosecond clock (1e10 s
+ * overflows int64 ns) or an infinite one never fires: the cell
+ * completes instead of timing out at once.
+ */
+TEST(StudyRunner, HugeCellTimeoutNeverFires)
+{
+    for (double budget : {1e10, std::numeric_limits<double>::infinity()}) {
+        SCOPED_TRACE(budget);
+        setQuiet(true);
+        ThreadPool seq(1);
+        StudyHarness h;
+        h.cellTimeoutSec = budget;
+        h.failBudget = 1;
+        StudyOptions opt = quickOptions();
+        opt.inferenceOnly = true;
+        opt.pool = &seq;
+        opt.harness = &h;
+        auto rows = runStudy(opt);
+        setQuiet(false);
+
+        ASSERT_EQ(rows.size(), 1u);
+        EXPECT_EQ(rows[0].status, CellStatus::Simulated)
+            << rows[0].error;
+        EXPECT_EQ(rows[0].attempts, 1);
+    }
+}
+
+/** Study rows, successful and failed, round-trip through JSON
+ *  byte-identically. */
 TEST(StudyRunner, RowJsonRoundTripsExactly)
 {
     setQuiet(true);
@@ -355,6 +385,25 @@ TEST(StudyRunner, RowJsonRoundTripsExactly)
     EXPECT_EQ(restored.model, rows[0].model);
     EXPECT_EQ(restored.results[0].total.cycles,
               rows[0].results[0].total.cycles);
+
+    // A failed row carries only its identity, error and attempts.
+    StudyRow failed;
+    failed.model = "resnet-32";
+    failed.training = true;
+    failed.status = CellStatus::Failed;
+    failed.error = "fault: kernel.transient";
+    failed.attempts = 3;
+    std::string failed_dump = studyRowToJson(failed).dump(2);
+    Json failed_parsed = Json::parse(failed_dump, &err);
+    ASSERT_TRUE(err.empty()) << err;
+    StudyRow failed_back = studyRowFromJson(failed_parsed);
+    EXPECT_EQ(failed_back.status, CellStatus::Failed);
+    EXPECT_EQ(failed_back.model, failed.model);
+    EXPECT_TRUE(failed_back.training);
+    EXPECT_EQ(failed_back.error, failed.error);
+    EXPECT_EQ(failed_back.attempts, 3);
+    EXPECT_TRUE(failed_back.results.empty());
+    EXPECT_EQ(studyRowToJson(failed_back).dump(2), failed_dump);
 }
 
 /**

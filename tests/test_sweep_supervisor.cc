@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -24,7 +25,7 @@ SweepSupervisorOptions
 fakeWorker(const std::string &script, int workers)
 {
     SweepSupervisorOptions opt;
-    opt.workerArgv = {"/bin/sh", "-c", script, "worker"};
+    opt.workerCommand = {"/bin/sh", "-c", script, "worker"};
     opt.workers = workers;
     opt.workStealing = false;
     return opt;
@@ -74,19 +75,29 @@ TEST(SweepSupervisor, CrashedCellIsIsolatedAndTyped)
                                      "kill -SEGV $$; fi\n") +
                          okScript;
     SweepSupervisorOptions opt = fakeWorker(script, 2);
-    int done_calls = 0;
-    opt.onCellDone = [&](const SweepCellResult &) { done_calls++; };
+    std::vector<std::pair<size_t, std::string>> done;
+    opt.onCellDone = [&](size_t index, const SweepCellResult &r) {
+        done.emplace_back(index, r.spec);
+    };
     SweepSupervisor sup(opt);
     std::vector<SweepCellResult> results =
         sup.run(cellsNamed({"a", "boom", "c"}));
     ASSERT_EQ(results.size(), 3u);
+    // One callback per cell, each naming the cell's input index.
+    ASSERT_EQ(done.size(), 3u);
+    std::vector<bool> seen(3, false);
+    for (const auto &[index, spec] : done) {
+        ASSERT_LT(index, results.size());
+        EXPECT_EQ(spec, results[index].spec);
+        EXPECT_FALSE(seen[index]) << "index " << index << " twice";
+        seen[index] = true;
+    }
     EXPECT_TRUE(results[0].ok);
     EXPECT_TRUE(results[2].ok);
     EXPECT_FALSE(results[1].ok);
     EXPECT_EQ(results[1].signalName, "SIGSEGV");
     EXPECT_NE(results[1].error.find("SIGSEGV"), std::string::npos)
         << results[1].error;
-    EXPECT_EQ(done_calls, 3);
 }
 
 TEST(SweepSupervisor, HungWorkerIsReapedByHeartbeatTimeout)
