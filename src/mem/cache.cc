@@ -1,84 +1,141 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "common/check.hh"
 #include "common/log.hh"
 
 namespace zcomp {
 
+namespace {
+
+size_t
+roundUp(size_t n, size_t to)
+{
+    return (n + to - 1) / to * to;
+}
+
+} // namespace
+
 Cache::Cache(std::string name, const CacheConfig &cfg, bool directory)
     : name_(std::move(name)), assoc_(cfg.assoc), directory_(directory),
-      hashIndex_(cfg.hashIndex)
+      hashIndex_(cfg.hashIndex), lru_(cfg.repl == ReplPolicy::LRU)
 {
+    fatal_if(assoc_ <= 0 || assoc_ > maxAssoc,
+             "cache %s: associativity %d outside 1..%d", name_.c_str(),
+             assoc_, maxAssoc);
     uint64_t num_lines = cfg.size / lineBytes;
     fatal_if(num_lines % cfg.assoc != 0,
              "cache %s: %llu lines not divisible by associativity %d",
              name_.c_str(), (unsigned long long)num_lines, cfg.assoc);
-    numSets_ = static_cast<int>(num_lines / cfg.assoc);
-    ZCOMP_CHECK(numSets_ > 0 && assoc_ > 0,
-                "cache %s: degenerate geometry %d sets x %d ways",
-                name_.c_str(), numSets_, assoc_);
-    tags_.assign(num_lines, kInvalidTag);
-    lines_.resize(num_lines);
-    repl_ = ReplacementPolicy::create(cfg.repl, numSets_, assoc_);
+    uint64_t sets = num_lines / cfg.assoc;
+    fatal_if(!std::has_single_bit(sets),
+             "cache %s: %llu sets is not a power of two", name_.c_str(),
+             (unsigned long long)sets);
+    numSets_ = static_cast<int>(sets);
+    setMask_ = sets - 1;
+
+    const auto a = static_cast<size_t>(assoc_);
+    stateOff_ = a * sizeof(uint64_t);
+    readyOff_ = roundUp(stateOff_ + a * sizeof(uint32_t), sizeof(double));
+    stampOff_ = readyOff_ + a * sizeof(double);
+    size_t end = stampOff_ + (lru_ ? a * sizeof(uint64_t) : 0);
+    blockBytes_ = roundUp(end, 64);
+
+    // Zeroed, untouched pages: a set costs host memory only once used.
+    // Each region of a block is only ever accessed as its one type, so
+    // the arrays calloc implicitly creates there are well defined.
+    size_t bytes = blockBytes_ * sets;
+    // zcomp-lint: allow(raw-new) - owned by storage_ (FreeDeleter)
+    storage_.reset(std::calloc(bytes + 63, 1));
+    fatal_if(!storage_, "cache %s: cannot allocate %zu bytes",
+             name_.c_str(), bytes);
+    auto base = reinterpret_cast<uintptr_t>(storage_.get());
+    blocks_ = static_cast<unsigned char *>(storage_.get()) +
+              (roundUp(base, 64) - base);
+}
+
+int
+Cache::victimWay(int set)
+{
+    if (lru_) {
+        const uint64_t *s = stamps(set);
+        int v = 0;
+        for (int w = 1; w < assoc_; w++) {
+            if (s[w] < s[v])
+                v = w;
+        }
+        return v;
+    }
+    // SRRIP: the first way at the highest RRPV, after aging every way
+    // by the distance from that RRPV to kMaxRrpv - the same victim and
+    // final RRPVs as aging one step at a time until a way reaches it.
+    uint32_t *st = states(set);
+    int v = 0;
+    uint32_t top = 0;
+    for (int w = 0; w < assoc_; w++) {
+        uint32_t r = (st[w] & kRrpvMask) >> kRrpvShift;
+        if (r > top || w == 0) {
+            top = r;
+            v = w;
+        }
+    }
+    if (top < kMaxRrpv) {
+        uint32_t age = (kMaxRrpv - top) << kRrpvShift;
+        for (int w = 0; w < assoc_; w++)
+            st[w] += age;
+    }
+    return v;
 }
 
 CacheVictim
 Cache::insert(Addr line, bool dirty, bool is_prefetch, double ready_at)
 {
     int set = setIndex(line);
-    size_t base = static_cast<size_t>(set) * assoc_;
+    uint64_t *t = tags(set);
+    uint32_t *st = states(set);
+    const uint64_t key = tagOf(line);
+    ZCOMP_DCHECK(key != 0, "insert of the empty-way tag");
 
-    // Refresh in place if the line is already resident (e.g. a demand
-    // fill racing a prefetch fill).
-    int way = findWay(set, line);
+    // One pass finds the first empty way, or the line itself if it is
+    // already resident (e.g. a demand fill racing a prefetch fill).
+    int way = -1;
     CacheVictim victim;
-    if (way < 0) {
-        // Prefer the first invalid way (an empty way carries the
-        // sentinel tag, so this is just another tag probe).
-        for (int w = 0; w < assoc_; w++) {
-            if (tags_[base + w] == kInvalidTag) {
-                way = w;
-                break;
+    for (int w = 0; w < assoc_; w++) {
+        if (t[w] == key) {
+            if (dirty)
+                st[w] |= kDirty;
+            if (!is_prefetch && (st[w] & kPrefetched)) {
+                prefetchUseful++;
+                st[w] &= ~kPrefetched;
             }
+            victim.slot = posOf(set, w);
+            return victim;
         }
-        if (way < 0) {
-            way = repl_->victim(set);
-            ZCOMP_DCHECK(way >= 0 && way < assoc_,
-                         "cache %s: replacement chose bad way %d",
-                         name_.c_str(), way);
-            Line &v = lines_[base + way];
-            victim.valid = true;
-            victim.dirty = v.dirty;
-            victim.wasPrefetch = v.prefetched;
-            victim.addr = tags_[base + way];
-            victim.presence = v.presence;
-            evictions++;
-            if (v.dirty)
-                writebacks++;
-            if (v.prefetched)
-                prefetchUnused++;
-        }
-        Line &l = lines_[base + way];
-        tags_[base + way] = line;
-        l.dirty = dirty;
-        l.prefetched = is_prefetch;
-        l.presence = 0;
-        l.readyAt = ready_at;
-        repl_->onInsert(set, way);
-        if (is_prefetch)
-            prefetchFills++;
-    } else {
-        Line &l = lines_[base + way];
-        l.dirty = l.dirty || dirty;
-        if (!is_prefetch && l.prefetched) {
-            prefetchUseful++;
-            l.prefetched = false;
-        }
+        if (t[w] == 0 && way < 0)
+            way = w;
     }
-    // Fill postconditions: the line is resident, and any victim left
-    // its set for good (it cannot be the line just inserted).
-    ZCOMP_DCHECK(contains(line), "cache %s: inserted line not resident",
-                 name_.c_str());
+    if (way < 0) {
+        way = victimWay(set);
+        uint32_t vs = st[way];
+        victim.valid = true;
+        victim.dirty = (vs & kDirty) != 0;
+        victim.wasPrefetch = (vs & kPrefetched) != 0;
+        victim.addr = ~t[way];
+        victim.presence = static_cast<uint16_t>(vs >> kPresenceShift);
+        evictions++;
+        if (victim.dirty)
+            writebacks++;
+        if (victim.wasPrefetch)
+            prefetchUnused++;
+    }
+    t[way] = key;
+    st[way] = (dirty ? kDirty : 0U) | (is_prefetch ? kPrefetched : 0U);
+    readyAts(set)[way] = ready_at;
+    touch(set, way, false);
+    if (is_prefetch)
+        prefetchFills++;
+    victim.slot = posOf(set, way);
     ZCOMP_DCHECK(!victim.valid || victim.addr != line,
                  "cache %s: evicted the line being filled",
                  name_.c_str());
@@ -88,67 +145,63 @@ Cache::insert(Addr line, bool dirty, bool is_prefetch, double ready_at)
 bool
 Cache::invalidate(Addr line)
 {
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0)
+    Slot s = find(line);
+    if (!s)
         return false;
-    size_t idx = static_cast<size_t>(set) * assoc_ + way;
-    Line &l = lines_[idx];
-    bool was_dirty = l.dirty;
-    if (l.prefetched)
+    uint32_t &st = stateAt(s);
+    bool was_dirty = (st & kDirty) != 0;
+    if (st & kPrefetched)
         prefetchUnused++;
-    tags_[idx] = kInvalidTag;
-    l.dirty = false;
-    l.prefetched = false;
-    l.presence = 0;
+    tags(setOf(s))[wayOf(s)] = 0;
+    st = 0;
     invalidations++;
     return was_dirty;
 }
 
 void
-Cache::markPresence(Addr line, int core)
+Cache::markPresence(Slot s, int core)
 {
     panic_if(!directory_, "cache %s has no directory", name_.c_str());
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way >= 0) {
-        lines_[static_cast<size_t>(set) * assoc_ + way].presence |=
-            static_cast<uint16_t>(1U << core);
-    }
+    ZCOMP_CHECK(static_cast<bool>(s), "cache %s: presence on an absent line",
+                name_.c_str());
+    stateAt(s) |= (1U << core) << kPresenceShift;
 }
 
 uint16_t
 Cache::presence(Addr line) const
 {
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    return way < 0 ? 0
-                   : lines_[static_cast<size_t>(set) * assoc_ + way]
-                         .presence;
+    Slot s = find(line);
+    return s ? static_cast<uint16_t>(stateAt(s) >> kPresenceShift) : 0;
+}
+
+bool
+Cache::consumePrefetchFlag(Slot s)
+{
+    if (!s)
+        return false;
+    uint32_t &st = stateAt(s);
+    bool was = (st & kPrefetched) != 0;
+    st &= ~kPrefetched;
+    return was;
 }
 
 uint64_t
 Cache::validLines() const
 {
     uint64_t n = 0;
-    for (Addr t : tags_) {
-        if (t != kInvalidTag)
-            n++;
+    for (int set = 0; set < numSets_; set++) {
+        const uint64_t *t = tags(set);
+        for (int w = 0; w < assoc_; w++)
+            n += t[w] != 0;
     }
     return n;
 }
 
-bool
-Cache::consumePrefetchFlag(Addr line)
+void
+Cache::resetCounters()
 {
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0)
-        return false;
-    Line &l = lines_[static_cast<size_t>(set) * assoc_ + way];
-    bool was = l.prefetched;
-    l.prefetched = false;
-    return was;
+    hits = misses = writebacks = prefetchFills = 0;
+    prefetchUseful = prefetchUnused = invalidations = evictions = 0;
 }
 
 } // namespace zcomp

@@ -1,31 +1,37 @@
 /**
  * @file
- * A set-associative, write-back, write-allocate cache model with
- * pluggable replacement (LRU/SRRIP), prefetch-fill tracking, and an
- * optional per-line presence directory (used by the inclusive shared
- * L3 to back-invalidate private caches).
+ * A set-associative, write-back, write-allocate cache model with LRU
+ * or SRRIP replacement, prefetch-fill tracking, and an optional
+ * per-line presence directory (used by the inclusive shared L3 to
+ * back-invalidate private caches).
  *
  * The cache stores only tags and state - data always lives in host
  * memory; the timing and traffic consequences of hits, fills,
  * writebacks and invalidations are handled by MemoryHierarchy.
+ *
+ * Replacement (Table 1): LRU keeps a per-way stamp from a per-cache
+ * clock and evicts the oldest. SRRIP (Static Re-Reference Interval
+ * Prediction) keeps a 2-bit RRPV per way: lines are inserted at
+ * RRPV 2 (long re-reference), promoted to 0 on a hit, and the victim
+ * is the first way at RRPV 3, aging every way of the set until one
+ * gets there.
  */
 
 #ifndef ZCOMP_MEM_CACHE_HH
 #define ZCOMP_MEM_CACHE_HH
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/check.hh"
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "mem/addr.hh"
-#include "mem/replacement.hh"
 
 namespace zcomp {
 
-/** Outcome of a cache lookup-with-fill. */
+/** Outcome of Cache::insert. */
 struct CacheVictim
 {
     bool valid = false;     //!< a line was evicted
@@ -33,26 +39,58 @@ struct CacheVictim
     bool wasPrefetch = false; //!< ... and it was a never-used prefetch
     Addr addr = 0;          //!< line address of the evicted line
     uint16_t presence = 0;  //!< directory bits of the evicted line
+    int slot = -1;          //!< Cache::Slot::pos of the inserted line
 };
 
 class Cache
 {
   public:
-    Cache(std::string name, const CacheConfig &cfg, bool directory);
+    /** Bits of a way index in a Slot; bounds the associativity. */
+    static constexpr int wayBits = 4;
+    static constexpr int maxAssoc = 1 << wayBits;
 
     /**
-     * Look up a line. On a hit, updates replacement state and marks
-     * dirty for writes. @return true on hit.
+     * Where a resident line lives, from find(): (set << wayBits) | way,
+     * or -1 for an absent line. A slot stays valid until the next
+     * insert or invalidate on this cache, so one probe serves every
+     * step of a hierarchy walk at this level.
      */
-    bool access(Addr line, bool is_write);
+    struct Slot
+    {
+        int pos = -1;
+        explicit operator bool() const { return pos >= 0; }
+    };
+
+    /**
+     * fatal()s unless the set count is a power of two (the index is a
+     * mask) and assoc is at most maxAssoc.
+     */
+    Cache(std::string name, const CacheConfig &cfg, bool directory);
+
+    /** Probe for a line (no state update). */
+    Slot find(Addr line) const;
+
+    /**
+     * Count a demand lookup that probed @p s: a miss if the line is
+     * absent; on a hit, update replacement state, credit a first use
+     * of a prefetched line and mark dirty for writes.
+     * @return true on hit.
+     */
+    bool access(Slot s, bool is_write);
+    bool access(Addr line, bool is_write)
+    {
+        return access(find(line), is_write);
+    }
 
     /** True if the line is resident (no state update). */
-    bool contains(Addr line) const;
+    bool contains(Addr line) const { return static_cast<bool>(find(line)); }
 
     /**
      * Insert a line (demand fill or prefetch fill), evicting a victim
      * if the set is full. The returned victim describes any line that
-     * was displaced.
+     * was displaced, and its slot is where @p line now lives. A line
+     * that is already resident is refreshed in place instead (dirty
+     * merged, a demand fill consumes the prefetch flag).
      *
      * @param ready_at cycle at which the fill data actually arrives;
      *        a demand access before then pays the residual latency
@@ -62,8 +100,8 @@ class Cache
     CacheVictim insert(Addr line, bool dirty, bool is_prefetch,
                        double ready_at = 0.0);
 
-    /** Residual wait until a resident line's fill data arrives. */
-    double readyWait(Addr line, double now) const;
+    /** Residual wait until a line's fill data arrives (0 if absent). */
+    double readyWait(Slot s, double now) const;
 
     /**
      * Invalidate a line if present. @return true if it was dirty
@@ -71,14 +109,17 @@ class Cache
      */
     bool invalidate(Addr line);
 
-    /** Set a presence bit (directory caches only). */
-    void markPresence(Addr line, int core);
+    /** Set a presence bit on a resident line (directory caches only). */
+    void markPresence(Slot s, int core);
 
     /** Presence bits for a resident line (0 if absent). */
     uint16_t presence(Addr line) const;
 
-    /** First-use bookkeeping for prefetch accuracy accounting. */
-    bool consumePrefetchFlag(Addr line);
+    /**
+     * Clear a line's prefetched flag. @return whether it was set
+     * (false for an absent line).
+     */
+    bool consumePrefetchFlag(Slot s);
 
     int numSets() const { return numSets_; }
     int assoc() const { return assoc_; }
@@ -86,6 +127,9 @@ class Cache
 
     /** Currently valid lines (occupancy probe for tests/benches). */
     uint64_t validLines() const;
+
+    /** Zero every event counter below (contents are kept). */
+    void resetCounters();
 
     // Event counters, aggregated externally into the hierarchy report.
     uint64_t hits = 0;
@@ -98,42 +142,88 @@ class Cache
     uint64_t evictions = 0;         //!< total victims displaced
 
   private:
-    /**
-     * The tag of an empty way. Lookups are a pure tag-array probe (no
-     * valid bit): line addresses are 64-byte aligned so they can never
-     * equal the all-ones sentinel, making "tag matches" equivalent to
-     * "valid and tag matches". Keeping the tags of each set contiguous
-     * lets findWay compare a whole set per vector instruction instead
-     * of striding through Line records.
+    /*
+     * Each set's state is one 64 B-aligned block, so a probe and the
+     * fill or hit update that follows touch the same few host cache
+     * lines:
+     *
+     *   uint64_t tag[assoc]     ~line; 0 = empty way
+     *   uint32_t state[assoc]   dirty | prefetched | RRPV | presence
+     *   double   readyAt[assoc] fill-data arrival time
+     *   uint64_t stamp[assoc]   LRU recency (LRU caches only)
+     *
+     * A line address is 64 B-aligned, so ~line is never 0, and zero
+     * means "empty" or "unset" in every field. The initial RRPV and
+     * LRU stamp of a way are never read: a victim is chosen only in a
+     * full set, and every way of a full set was inserted. So the
+     * blocks come zeroed from calloc, and a set's host pages are not
+     * touched until the set is first used.
      */
-    static constexpr Addr kInvalidTag = ~Addr{0};
+    static constexpr uint32_t kDirty = 1U << 0;
+    static constexpr uint32_t kPrefetched = 1U << 1;
+    static constexpr int kRrpvShift = 2;
+    static constexpr uint32_t kRrpvMask = 3U << kRrpvShift;
+    static constexpr uint32_t kMaxRrpv = 3;
+    static constexpr uint32_t kInsertRrpv = 2;
+    static constexpr int kPresenceShift = 16;
 
-    /** Per-line state other than the tag (tag lives in tags_). */
-    struct Line
+    struct FreeDeleter
     {
-        bool dirty = false;
-        bool prefetched = false;    //!< filled by prefetch, not yet used
-        uint16_t presence = 0;      //!< cores holding this line (L3 only)
-        double readyAt = 0.0;       //!< fill-data arrival time
+        // zcomp-lint: allow(raw-new) - the owner of calloc's blocks
+        void operator()(void *p) const { std::free(p); }
     };
 
+    static uint64_t tagOf(Addr line) { return ~line; }
+    static int posOf(int set, int way) { return set << wayBits | way; }
+    static int setOf(Slot s) { return s.pos >> wayBits; }
+    static int wayOf(Slot s) { return s.pos & (maxAssoc - 1); }
+
+    unsigned char *block(int set) const
+    {
+        return blocks_ + static_cast<size_t>(set) * blockBytes_;
+    }
+    uint64_t *tags(int set) const
+    {
+        return reinterpret_cast<uint64_t *>(block(set));
+    }
+    uint32_t *states(int set) const
+    {
+        return reinterpret_cast<uint32_t *>(block(set) + stateOff_);
+    }
+    double *readyAts(int set) const
+    {
+        return reinterpret_cast<double *>(block(set) + readyOff_);
+    }
+    uint64_t *stamps(int set) const
+    {
+        return reinterpret_cast<uint64_t *>(block(set) + stampOff_);
+    }
+    uint32_t &stateAt(Slot s) const
+    {
+        return states(setOf(s))[wayOf(s)];
+    }
+
     int setIndex(Addr line) const;
-    int findWay(int set, Addr line) const;
+    void touch(int set, int way, bool hit);
+    int victimWay(int set);
 
     std::string name_;
     int numSets_;
     int assoc_;
     bool directory_;
-    bool hashIndex_ = false;
-    std::vector<Addr> tags_;        //!< [set * assoc + way], kInvalidTag = empty
-    std::vector<Line> lines_;
-    std::unique_ptr<ReplacementPolicy> repl_;
+    bool hashIndex_;
+    bool lru_;
+    uint64_t setMask_;
+    size_t stateOff_ = 0, readyOff_ = 0, stampOff_ = 0, blockBytes_ = 0;
+    uint64_t lruClock_ = 0;
+    std::unique_ptr<void, FreeDeleter> storage_;
+    unsigned char *blocks_ = nullptr;   //!< storage_ rounded up to 64 B
 };
 
-// The lookup chain (setIndex -> findWay -> access/contains/readyWait)
-// runs billions of times per sweep - the timing model's hottest path -
-// so these stay in the header where they inline into the hierarchy
-// walk instead of paying a call per tag probe.
+// The lookup chain (setIndex -> find -> access/readyWait) runs
+// billions of times per sweep - the timing model's hottest path - so
+// these stay in the header where they inline into the hierarchy walk
+// instead of paying a call per tag probe.
 
 inline int
 Cache::setIndex(Addr line) const
@@ -149,57 +239,60 @@ Cache::setIndex(Addr line) const
         ln *= 0xBF58476D1CE4E5B9ULL;
         ln ^= ln >> 32;
     }
-    return static_cast<int>(ln % static_cast<uint64_t>(numSets_));
+    return static_cast<int>(ln & setMask_);
 }
 
-inline int
-Cache::findWay(int set, Addr line) const
+inline Cache::Slot
+Cache::find(Addr line) const
 {
-    ZCOMP_DCHECK(line != kInvalidTag, "lookup of the invalid-tag sentinel");
-    const uint64_t *tags = tags_.data() + static_cast<size_t>(set) * assoc_;
+    ZCOMP_DCHECK(tagOf(line) != 0, "lookup of the empty-way tag");
+    int set = setIndex(line);
+    const uint64_t *t = tags(set);
+    const uint64_t key = tagOf(line);
     for (int w = 0; w < assoc_; w++) {
-        if (tags[w] == line)
-            return w;
+        if (t[w] == key)
+            return Slot{posOf(set, w)};
     }
-    return -1;
+    return Slot{};
+}
+
+inline void
+Cache::touch(int set, int way, bool hit)
+{
+    if (lru_) {
+        stamps(set)[way] = ++lruClock_;
+    } else {
+        uint32_t &st = states(set)[way];
+        st = (st & ~kRrpvMask) |
+             ((hit ? 0U : kInsertRrpv) << kRrpvShift);
+    }
 }
 
 inline bool
-Cache::access(Addr line, bool is_write)
+Cache::access(Slot s, bool is_write)
 {
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0) {
+    if (!s) {
         misses++;
         return false;
     }
     hits++;
-    Line &l = lines_[static_cast<size_t>(set) * assoc_ + way];
-    if (l.prefetched) {
+    uint32_t &st = stateAt(s);
+    if (st & kPrefetched) {
         prefetchUseful++;
-        l.prefetched = false;
+        st &= ~kPrefetched;
     }
     if (is_write)
-        l.dirty = true;
-    repl_->onHit(set, way);
+        st |= kDirty;
+    touch(setOf(s), wayOf(s), true);
     return true;
 }
 
-inline bool
-Cache::contains(Addr line) const
-{
-    return findWay(setIndex(line), line) >= 0;
-}
-
 inline double
-Cache::readyWait(Addr line, double now) const
+Cache::readyWait(Slot s, double now) const
 {
-    int set = setIndex(line);
-    int way = findWay(set, line);
-    if (way < 0)
+    if (!s)
         return 0.0;
-    double ready =
-        lines_[static_cast<size_t>(set) * assoc_ + way].readyAt;
+    double ready = readyAts(setOf(s))[wayOf(s)];
     return ready > now ? ready - now : 0.0;
 }
 

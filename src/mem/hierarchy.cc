@@ -29,6 +29,10 @@ HierSnapshot::prefetchCoverage() const
 MemoryHierarchy::MemoryHierarchy(const ArchConfig &cfg)
     : cfg_(cfg), noc_(cfg.noc), dram_(cfg.dram, cfg.core.freqGHz)
 {
+    // The L3 directory keeps one presence bit per core in 16 bits.
+    fatal_if(cfg.numCores < 1 || cfg.numCores > 16,
+             "%d cores: the L3 presence directory tracks 1 to 16",
+             cfg.numCores);
     for (int c = 0; c < cfg.numCores; c++) {
         l1_.push_back(std::make_unique<Cache>(format("l1.%d", c), cfg.l1,
                                               false));
@@ -92,7 +96,7 @@ MemoryHierarchy::accessLine(int core, Addr line, bool is_write,
     // punch gaps into the sequence it observes and break training.
     runL2Prefetch(core, line, now);
 
-    if (l1_[uc]->access(line, is_write)) {
+    if (l1_[uc]->access(l1_[uc]->find(line), is_write)) {
         res.latency = cfg_.l1.latency + l1_wait;
         res.level = 1;
         return res;
@@ -105,11 +109,11 @@ MemoryHierarchy::accessLine(int core, Addr line, bool is_write,
     l2Busy_[uc] = std::max(l2Busy_[uc], now) + l2_service;
 
     double lat = cfg_.l1.latency + l1_wait;
-    if (l2_[uc]->access(line, false)) {
+    Cache::Slot s2 = l2_[uc]->find(line);
+    if (l2_[uc]->access(s2, false)) {
         // If the line was filled by a still-in-flight prefetch, the
         // demand access waits for the remaining fill latency.
-        lat += cfg_.l2.latency + l2_wait +
-               l2_[uc]->readyWait(line, now + lat);
+        lat += cfg_.l2.latency + l2_wait + l2_[uc]->readyWait(s2, now + lat);
         l1L2Bytes_ += lineBytes;    // fill into L1
         insertL1(core, line, is_write);
         res.latency = lat;
@@ -129,17 +133,9 @@ MemoryHierarchy::accessLine(int core, Addr line, bool is_write,
     l3SliceBusy_[us] = std::max(l3SliceBusy_[us], now) + l3_service;
 
     lat += cfg_.l2.latency + l2_wait + noc_rt + cfg_.l3.latency + l3_wait;
-    res.level = 3;
-
-    if (!l3_->access(line, false)) {
-        // L3 miss -> DRAM.
-        lat += dram_.access(line, false, now + lat);
-        l3DramBytes_ += lineBytes;
-        CacheVictim v = l3_->insert(line, false, false);
-        evictFromL3(v, now);
-        res.level = 4;
-    }
-    l3_->markPresence(line, core);
+    Cache::Slot s3 = l3_->find(line);
+    res.level = s3 ? 3 : 4;
+    lat += fillL3(core, line, s3, now, lat);
 
     // Fill the private caches.
     l2L3Bytes_ += lineBytes;
@@ -152,18 +148,20 @@ MemoryHierarchy::accessLine(int core, Addr line, bool is_write,
 }
 
 double
-MemoryHierarchy::fillL3(int core, Addr line, double now, bool count_hit)
+MemoryHierarchy::fillL3(int core, Addr line, Cache::Slot s3, double now,
+                        double delay)
 {
     double lat = 0;
-    if (!l3_->access(line, false)) {
-        lat = dram_.access(line, false, now);
+    if (!l3_->access(s3, false)) {
+        lat = dram_.access(line, false, now + delay);
         l3DramBytes_ += lineBytes;
         CacheVictim v = l3_->insert(line, false, false);
+        s3 = Cache::Slot{v.slot};
+        // Back-invalidation touches only the private caches, so the
+        // slot of the line just filled stays valid.
         evictFromL3(v, now);
-    } else if (!count_hit) {
-        // The probe above already counted a hit; nothing else to do.
     }
-    l3_->markPresence(line, core);
+    l3_->markPresence(s3, core);
     return lat;
 }
 
@@ -194,12 +192,13 @@ MemoryHierarchy::evictFromL3(const CacheVictim &victim, double now)
     }
 }
 
-void
+Cache::Slot
 MemoryHierarchy::insertL2(int core, Addr line, bool prefetch, double now,
                           double ready_at)
 {
     auto uc = static_cast<size_t>(core);
     CacheVictim v = l2_[uc]->insert(line, false, prefetch, ready_at);
+    Cache::Slot filled{v.slot};
     if (v.valid) {
         // Inclusion of L1: the evicted L2 line leaves L1 as well.
         bool l1_dirty = l1_[uc]->invalidate(v.addr);
@@ -211,15 +210,17 @@ MemoryHierarchy::insertL2(int core, Addr line, bool prefetch, double now,
             // Write back into L3; the line is still there (inclusive)
             // unless it was already evicted - then it goes to DRAM.
             l2L3Bytes_ += lineBytes;
-            if (l3_->contains(v.addr)) {
+            Cache::Slot s3 = l3_->find(v.addr);
+            if (s3) {
                 l3WbProbes_++;
-                l3_->access(v.addr, true);
+                l3_->access(s3, true);
             } else {
                 dram_.access(v.addr, true, now);
                 l3DramBytes_ += lineBytes;
             }
         }
     }
+    return filled;
 }
 
 void
@@ -230,13 +231,12 @@ MemoryHierarchy::insertL1(int core, Addr line, bool dirty)
     if (v.valid && v.dirty) {
         // Write back into L2 (inclusive of L1, so it must be there).
         l1L2Bytes_ += lineBytes;
-        if (l2_[uc]->contains(v.addr)) {
-            l2_[uc]->access(v.addr, true);
-        } else {
+        Cache::Slot s2 = l2_[uc]->find(v.addr);
+        if (!s2) {
             // Defensive: racing back-invalidation removed it.
-            insertL2(core, v.addr, false, 0.0);
-            l2_[uc]->access(v.addr, true);
+            s2 = insertL2(core, v.addr, false, 0.0);
         }
+        l2_[uc]->access(s2, true);
     }
 }
 
@@ -256,8 +256,8 @@ MemoryHierarchy::runL2Prefetch(int core, Addr line, double now)
         // running at cache speed can flood DRAM with fills faster
         // than the channels drain, and the ready-time of late fills
         // runs away unboundedly.
-        if (!l3_->contains(pf) &&
-            dram_.backlog(pf, now) > prefetchBacklogCap_) {
+        Cache::Slot s3 = l3_->find(pf);
+        if (!s3 && dram_.backlog(pf, now) > prefetchBacklogCap_) {
             continue;
         }
         // Fetch from L3/DRAM into L2, consuming real bandwidth. The
@@ -271,7 +271,7 @@ MemoryHierarchy::runL2Prefetch(int core, Addr line, double now)
         double l3_wait = std::max(0.0, l3SliceBusy_[us] - now);
         l3SliceBusy_[us] = std::max(l3SliceBusy_[us], now) + l3_service;
         double fill_lat = noc_.roundTrip(core, slice) + cfg_.l3.latency +
-                          l3_wait + fillL3(core, pf, now, true);
+                          l3_wait + fillL3(core, pf, s3, now, 0.0);
         nocHops_ += static_cast<uint64_t>(2 * noc_.hops(core, slice));
         l2L3Bytes_ += lineBytes;
         l2PrefFilled_++;
@@ -295,13 +295,12 @@ MemoryHierarchy::runL1Prefetch(int core, Addr line, uint32_t pc,
         // it does not cascade misses further down, and it leaves
         // still-in-flight L2 prefetch fills alone (their data has not
         // arrived yet).
-        if (!l2_[uc]->contains(pf))
-            continue;
-        if (l2_[uc]->readyWait(pf, now) > 0)
+        Cache::Slot s2 = l2_[uc]->find(pf);
+        if (!s2 || l2_[uc]->readyWait(s2, now) > 0)
             continue;
         // Promoting a prefetched L2 line on behalf of an imminent
         // demand access consumes (and credits) the L2 prefetch.
-        if (l2_[uc]->consumePrefetchFlag(pf))
+        if (l2_[uc]->consumePrefetchFlag(s2))
             l2_[uc]->prefetchUseful++;
         l1L2Bytes_ += lineBytes;
         insertL1(core, pf, false);
@@ -497,17 +496,12 @@ MemoryHierarchy::resetStats()
     nocHops_ = 0;
     for (int c = 0; c < cfg_.numCores; c++) {
         auto uc = static_cast<size_t>(c);
-        l1_[uc]->hits = l1_[uc]->misses = l1_[uc]->writebacks = 0;
-        l1_[uc]->prefetchFills = l1_[uc]->prefetchUseful = 0;
-        l1_[uc]->prefetchUnused = l1_[uc]->invalidations = 0;
-        l2_[uc]->hits = l2_[uc]->misses = l2_[uc]->writebacks = 0;
-        l2_[uc]->prefetchFills = l2_[uc]->prefetchUseful = 0;
-        l2_[uc]->prefetchUnused = l2_[uc]->invalidations = 0;
+        l1_[uc]->resetCounters();
+        l2_[uc]->resetCounters();
         l2Pref_[uc].reset();
         l1Pref_[uc].reset();
     }
-    l3_->hits = l3_->misses = l3_->writebacks = 0;
-    l3_->invalidations = 0;
+    l3_->resetCounters();
     dram_.reset();
 }
 

@@ -127,15 +127,25 @@ class MemoryHierarchy
     AccessResult accessLine(int core, Addr line, bool is_write,
                             double now, uint32_t pc);
 
-    /** Fetch a line into L3 (+directory) from DRAM if absent. */
-    double fillL3(int core, Addr line, double now, bool count_hit);
+    /**
+     * Count an L3 lookup of @p line (probed as @p s3), fetch it from
+     * DRAM if absent, and set @p core's presence bit. The DRAM read
+     * issues @p delay cycles after @p now; an L3 victim's writeback
+     * issues at @p now.
+     * @return the DRAM latency (0 on a hit).
+     */
+    double fillL3(int core, Addr line, Cache::Slot s3, double now,
+                  double delay);
 
     /** Handle an L3 victim: back-invalidate and write back. */
     void evictFromL3(const CacheVictim &victim, double now);
 
-    /** Insert into a core's L2, handling inclusion of L1. */
-    void insertL2(int core, Addr line, bool prefetch, double now,
-                  double ready_at = 0.0);
+    /**
+     * Insert into a core's L2, handling inclusion of L1.
+     * @return the slot of the inserted line.
+     */
+    Cache::Slot insertL2(int core, Addr line, bool prefetch, double now,
+                         double ready_at = 0.0);
 
     /** Insert into a core's L1. */
     void insertL1(int core, Addr line, bool dirty);

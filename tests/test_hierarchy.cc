@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/hierarchy.hh"
 
 using namespace zcomp;
@@ -128,6 +131,58 @@ TEST(Hierarchy, WorkingSetRegimes)
     }
     s = mem.snapshot();
     EXPECT_GT(s.l3DramBytes, big);  // both passes stream from DRAM
+}
+
+namespace {
+
+/** Names of the nonzero counters anywhere under @p g. */
+void
+nonzeroCounters(const StatGroup &g, const std::string &prefix,
+                std::vector<std::string> &out)
+{
+    for (const auto &c : g.counters()) {
+        if (c->value() != 0)
+            out.push_back(prefix + c->name());
+    }
+    for (const auto &child : g.children())
+        nonzeroCounters(*child, prefix + child->name() + ".", out);
+}
+
+} // namespace
+
+TEST(Hierarchy, ResetStatsZeroesEveryCounter)
+{
+    // A write stream four times the L3 drives evictions, writebacks,
+    // back-invalidations and prefetches at every level.
+    ArchConfig cfg = smallCfg();
+    cfg.numCores = 1;
+    cfg.prefetch.l1IpStride = true;
+    cfg.prefetch.l2Stream = true;
+    MemoryHierarchy mem(cfg);
+    for (Addr a = 0; a < 256 * KiB; a += 64)
+        mem.access(0, 0x400000 + a, 64, true, static_cast<double>(a), 5);
+
+    StatGroup before("mem");
+    mem.dumpStats(before);
+    ASSERT_GT(before.findCounter("l3.evictions")->value(), 0u);
+    ASSERT_GT(before.findCounter("l2_0.pf_fills")->value(), 0u);
+
+    mem.resetStats();
+    StatGroup after("mem");
+    mem.dumpStats(after);
+    std::vector<std::string> nonzero;
+    nonzeroCounters(after, "", nonzero);
+    EXPECT_TRUE(nonzero.empty()) << "still counting after resetStats: "
+                                 << testing::PrintToString(nonzero);
+}
+
+TEST(HierarchyDeathTest, RejectsMoreCoresThanPresenceBits)
+{
+    // Core 16's presence bit would not fit the L3 directory, so its
+    // private caches would miss back-invalidations.
+    ArchConfig cfg = smallCfg();
+    cfg.numCores = 17;
+    EXPECT_DEATH(MemoryHierarchy{cfg}, "presence directory");
 }
 
 TEST(Hierarchy, InclusiveL3BackInvalidatesPrivateCaches)

@@ -15,9 +15,10 @@ stat-names          within a file, the same receiver must not register
                     two stats with the same name (addCounter /
                     addHistogram) - duplicate names silently shadow
                     each other in reports.
-raw-new             no raw `new` / `delete` outside explicitly
-                    annotated ownership-handoff sites; everything else
-                    uses containers or smart pointers.
+raw-new             no raw `new` / `delete`, and no C allocation
+                    (malloc/calloc/realloc/aligned_alloc/free), outside
+                    explicitly annotated ownership-handoff sites;
+                    everything else uses containers or smart pointers.
 rng                 no rand()/srand()/std::mt19937/... - all
                     randomness flows through common/rng.hh so studies
                     stay reproducible and seedable.
@@ -315,6 +316,8 @@ def check_stat_names(root, findings):
 
 
 NEW_RE = re.compile(r"(?<![\w.])new\s+[A-Za-z_(]")
+C_ALLOC_RE = re.compile(
+    r"(?<![\w.>])(malloc|calloc|realloc|aligned_alloc|free)\s*\(")
 DELETE_RE = re.compile(r"(?<![\w.=])\bdelete\b(?!\s*[;,)\]]*\s*$|\s*\[)")
 
 
@@ -336,14 +339,21 @@ def check_raw_new(root, findings):
                     "raw-new", relpath(root, path), i,
                     "raw new; use containers/smart pointers or "
                     "annotate the ownership handoff", m.start() + 1))
-            else:
-                m = re.search(r"\bdelete\b", code)
-                if m:
-                    findings.append(Finding(
-                        "raw-new", relpath(root, path), i,
-                        "raw delete; use containers/smart pointers "
-                        "or annotate the ownership handoff",
-                        m.start() + 1))
+                continue
+            m = re.search(r"\bdelete\b", code)
+            if m:
+                findings.append(Finding(
+                    "raw-new", relpath(root, path), i,
+                    "raw delete; use containers/smart pointers "
+                    "or annotate the ownership handoff", m.start() + 1))
+                continue
+            m = C_ALLOC_RE.search(code)
+            if m:
+                findings.append(Finding(
+                    "raw-new", relpath(root, path), i,
+                    "raw %s(); use containers/smart pointers or "
+                    "annotate the ownership handoff" % m.group(1),
+                    m.start() + 1))
 
 
 RNG_RE = re.compile(
@@ -743,7 +753,7 @@ def self_test():
     with tempfile.TemporaryDirectory() as root:
         write(os.path.join(root, "src", "CMakeLists.txt"),
               "add_library(x STATIC clean.cc dup_stats.cc raw_new.cc\n"
-              "    bad_rng.cc annotated.cc catch_swallow.cc\n"
+              "    c_alloc.cc bad_rng.cc annotated.cc catch_swallow.cc\n"
               "    stray_intrin.cc metrics_probe.cc common/simd.cc\n"
               "    raw_mutex.cc wall_clock.cc raw_rand.cc\n"
               "    unordered_iter.cc cachecomp/scheme_good.cc\n"
@@ -777,6 +787,15 @@ def self_test():
         write(os.path.join(root, "src", "annotated.cc"),
               "// zcomp-lint: allow(raw-new)\n"
               "int *p = new int(3);\n")
+        write(os.path.join(root, "src", "c_alloc.cc"),
+              "void *a = std::malloc(8);\n"
+              "void *b = calloc(1, 8);\n"
+              "void *c = realloc(b, 16);\n"
+              "void *d = std::aligned_alloc(64, 64);\n"
+              "void g(void *p) { std::free(p); }\n"
+              "void h(Pool &pool) { pool.free(x); pool->malloc(8); }\n"
+              "// zcomp-lint: allow(raw-new)\n"
+              "void *e = calloc(1, 8);\n")
         write(os.path.join(root, "src", "bad_rng.cc"),
               "#include <random>\n"
               "std::mt19937 gen;\n"
@@ -910,6 +929,11 @@ def self_test():
             ("stat-names", "src/dup_stats.cc", 3),
             ("raw-new", "src/raw_new.cc", 1),
             ("raw-new", "src/raw_new.cc", 2),
+            ("raw-new", "src/c_alloc.cc", 1),
+            ("raw-new", "src/c_alloc.cc", 2),
+            ("raw-new", "src/c_alloc.cc", 3),
+            ("raw-new", "src/c_alloc.cc", 4),
+            ("raw-new", "src/c_alloc.cc", 5),
             ("rng", "src/bad_rng.cc", 2),
             ("rng", "src/bad_rng.cc", 3),
             ("catch-swallow", "src/catch_swallow.cc", 2),
