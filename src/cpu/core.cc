@@ -15,25 +15,59 @@ CoreModel::CoreModel(int id, const ArchConfig &cfg, MemoryHierarchy &mem)
 void
 CoreModel::startPhase(const CoreTrace *trace, double start_time)
 {
-    panic_if(trace_ != nullptr, "core %d already has an active phase",
-             id_);
-    trace_ = trace;
+    begin(trace->data(), trace->size(), nullptr, start_time);
+}
+
+void
+CoreModel::startPhase(OpCursor *cursor, double start_time)
+{
+    begin(nullptr, 0, cursor, start_time);
+}
+
+void
+CoreModel::begin(const TraceOp *ops, size_t count, OpCursor *cursor,
+                 double start_time)
+{
+    panic_if(active_, "core %d already has an active phase", id_);
+    active_ = true;
+    ops_ = ops;
+    count_ = count;
     idx_ = 0;
+    cursor_ = cursor;
+    phaseOps_ = 0;
     time_ = std::max(time_, start_time);
     for (auto &s : streamReady_)
         s = 0;
     zcompBusy_[0] = zcompBusy_[1] = 0;
 }
 
+bool
+CoreModel::refill()
+{
+    if (!cursor_)
+        return false;
+    count_ = cursor_->fill(buf_.data(), buf_.size());
+    ZCOMP_CHECK(count_ <= buf_.size(),
+                "core %d: cursor filled %zu ops into %zu slots", id_,
+                count_, buf_.size());
+    ops_ = buf_.data();
+    idx_ = 0;
+    if (count_ == 0)
+        cursor_ = nullptr;
+    return count_ > 0;
+}
+
 void
 CoreModel::step()
 {
     panic_if(done(), "step on a finished core");
-    if (idx_ < trace_->size()) {
-        execOp((*trace_)[idx_++]);
+    // One op per step; the drain takes the step after the last op.
+    if (idx_ < count_ || refill()) {
+        execOp(ops_[idx_++]);
+        phaseOps_++;
     } else {
         drain();
-        trace_ = nullptr;
+        active_ = false;
     }
 }
 

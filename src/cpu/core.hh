@@ -27,6 +27,7 @@
 #ifndef ZCOMP_CPU_CORE_HH
 #define ZCOMP_CPU_CORE_HH
 
+#include <array>
 #include <queue>
 #include <vector>
 
@@ -62,11 +63,23 @@ class CoreModel
 
     CoreModel(int id, const ArchConfig &cfg, MemoryHierarchy &mem);
 
-    /** Begin executing a trace at the given start time. */
+    /** Ops a core buffers from a cursor per refill. */
+    static constexpr size_t fillOps = 256;
+    static_assert(fillOps >= OpCursor::minFill);
+
+    /**
+     * Begin executing a phase at the given start time: the ops of a
+     * materialised trace, read in place, or those a cursor streams
+     * through the core's fill buffer.
+     */
     void startPhase(const CoreTrace *trace, double start_time);
+    void startPhase(OpCursor *cursor, double start_time);
 
     /** All ops executed and outstanding work drained. */
-    bool done() const { return trace_ == nullptr; }
+    bool done() const { return !active_; }
+
+    /** Ops executed since the last startPhase(). */
+    uint64_t phaseOps() const { return phaseOps_; }
 
     /** Execute the next op (or the final drain). */
     void step();
@@ -98,6 +111,9 @@ class CoreModel
     using MinHeap = std::priority_queue<double, std::vector<double>,
                                         std::greater<double>>;
 
+    void begin(const TraceOp *ops, size_t count, OpCursor *cursor,
+               double start_time);
+    bool refill();
     void execOp(const TraceOp &op);
     void drain();
 
@@ -105,8 +121,15 @@ class CoreModel
     const ArchConfig &cfg_;
     MemoryHierarchy &mem_;
 
-    const CoreTrace *trace_ = nullptr;
+    // The one op-reading path: ops_[idx_, count_), refilled from
+    // cursor_ (if any) into buf_ once consumed.
+    bool active_ = false;
+    const TraceOp *ops_ = nullptr;
+    size_t count_ = 0;
     size_t idx_ = 0;
+    OpCursor *cursor_ = nullptr;
+    uint64_t phaseOps_ = 0;
+    std::array<TraceOp, fillOps> buf_;
 
     double time_ = 0;
     double zcompBusy_[2] = {0, 0};  //!< load-side / store-side pipes

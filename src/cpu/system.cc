@@ -20,21 +20,31 @@ MultiCoreSystem::MultiCoreSystem(const ArchConfig &cfg)
 PhaseResult
 MultiCoreSystem::runPhase(const TracePhase &phase)
 {
-    fatal_if(phase.perCore.size() >
-                 static_cast<size_t>(cfg_.numCores),
+    const auto cores = static_cast<size_t>(cfg_.numCores);
+    fatal_if(phase.perCore.size() > cores ||
+                 phase.cursors.size() > cores,
              "phase '%s' targets %zu cores, system has %d",
-             phase.name.c_str(), phase.perCore.size(), cfg_.numCores);
+             phase.name.c_str(),
+             std::max(phase.perCore.size(), phase.cursors.size()),
+             cfg_.numCores);
 
     PhaseResult result;
     result.startTime = globalTime_;
 
     static const CoreTrace emptyTrace;
-    for (int c = 0; c < cfg_.numCores; c++) {
-        const CoreTrace *t =
-            static_cast<size_t>(c) < phase.perCore.size()
-                ? &phase.perCore[static_cast<size_t>(c)]
-                : &emptyTrace;
-        cores_[static_cast<size_t>(c)]->startPhase(t, globalTime_);
+    for (size_t c = 0; c < cores; c++) {
+        const CoreTrace &t =
+            c < phase.perCore.size() ? phase.perCore[c] : emptyTrace;
+        OpCursor *cursor =
+            c < phase.cursors.size() ? phase.cursors[c].get() : nullptr;
+        if (cursor) {
+            fatal_if(!t.empty(),
+                     "phase '%s' core %zu has both ops and a cursor",
+                     phase.name.c_str(), c);
+            cores_[c]->startPhase(cursor, globalTime_);
+        } else {
+            cores_[c]->startPhase(&t, globalTime_);
+        }
     }
 
     // Interleave: always advance the core with the smallest local
@@ -73,8 +83,10 @@ MultiCoreSystem::runPhase(const TracePhase &phase)
     // Barrier: everyone waits for the slowest core.
     double end = globalTime_;
     result.coreEndTimes.reserve(cores_.size());
+    result.coreOps.reserve(cores_.size());
     for (auto &core : cores_) {
         result.coreEndTimes.push_back(core->time());
+        result.coreOps.push_back(core->phaseOps());
         end = std::max(end, core->time());
     }
     for (auto &core : cores_)

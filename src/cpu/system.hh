@@ -38,6 +38,9 @@ struct PhaseResult
      * per-core lanes of the Perfetto trace.
      */
     std::vector<double> coreEndTimes;
+
+    /** Ops each core executed in the phase (index = core id). */
+    std::vector<uint64_t> coreOps;
 };
 
 class MultiCoreSystem

@@ -26,7 +26,9 @@
 #ifndef ZCOMP_CPU_TRACE_HH
 #define ZCOMP_CPU_TRACE_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,20 +78,54 @@ struct TraceOp
     }
 };
 
-/** One core's op sequence for a phase. */
+/** One core's materialised op sequence for a phase. */
 using CoreTrace = std::vector<TraceOp>;
 
-/** A barrier-delimited parallel region across all cores. */
+/**
+ * Produces one core's ops for a phase, a buffer at a time, so a
+ * phase's trace memory is O(cores x buffer) rather than O(ops). A
+ * cursor is consumed by the one run that drains it.
+ */
+class OpCursor
+{
+  public:
+    /**
+     * The smallest @p cap a fill() must accept: room for the longest
+     * loop iteration an emitter writes in one piece.
+     */
+    static constexpr size_t minFill = 8;
+
+    OpCursor() = default;
+    OpCursor(const OpCursor &) = delete;
+    OpCursor &operator=(const OpCursor &) = delete;
+    virtual ~OpCursor() = default;
+
+    /**
+     * Write the next ops, at most @p cap (>= minFill), into @p out.
+     * A fill may return fewer than @p cap ops and still have more.
+     * @return the ops written; 0 only once the core has no more ops.
+     */
+    virtual size_t fill(TraceOp *out, size_t cap) = 0;
+};
+
+/**
+ * A barrier-delimited parallel region across all cores. Each core
+ * runs either its materialised perCore[c] or, when cursors[c] is set,
+ * the ops that cursor streams (perCore[c] must then be empty). A
+ * phase with cursors is consumed by its one run.
+ */
 struct TracePhase
 {
     std::string name;
     std::vector<CoreTrace> perCore;
+    std::vector<std::unique_ptr<OpCursor>> cursors;
 
     explicit TracePhase(std::string n = "", int num_cores = 0)
         : name(std::move(n)),
           perCore(static_cast<size_t>(num_cores))
     {}
 
+    /** Materialised ops only: a cursor's count is known once drained. */
     size_t
     totalOps() const
     {

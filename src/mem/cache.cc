@@ -2,6 +2,8 @@
 
 #include <bit>
 
+#include <sys/mman.h>
+
 #include "common/check.hh"
 #include "common/log.hh"
 
@@ -44,15 +46,24 @@ Cache::Cache(std::string name, const CacheConfig &cfg, bool directory)
 
     // Zeroed, untouched pages: a set costs host memory only once used.
     // Each region of a block is only ever accessed as its one type, so
-    // the arrays calloc implicitly creates there are well defined.
-    size_t bytes = blockBytes_ * sets;
-    // zcomp-lint: allow(raw-new) - owned by storage_ (FreeDeleter)
-    storage_.reset(std::calloc(bytes + 63, 1));
-    fatal_if(!storage_, "cache %s: cannot allocate %zu bytes",
-             name_.c_str(), bytes);
-    auto base = reinterpret_cast<uintptr_t>(storage_.get());
-    blocks_ = static_cast<unsigned char *>(storage_.get()) +
-              (roundUp(base, 64) - base);
+    // the arrays the mapping implicitly creates there are well defined.
+    storage_ = std::make_unique<ZeroPages>(blockBytes_ * sets);
+    blocks_ = storage_->data();
+}
+
+Cache::ZeroPages::ZeroPages(size_t bytes) : bytes_(bytes)
+{
+    // zcomp-lint: allow(raw-new) - owned here, unmapped by ~ZeroPages
+    void *p = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    fatal_if(p == MAP_FAILED, "cannot map %zu bytes of cache metadata",
+             bytes_);
+    base_ = static_cast<unsigned char *>(p);
+}
+
+Cache::ZeroPages::~ZeroPages()
+{
+    munmap(base_, bytes_); // zcomp-lint: allow(raw-new) - the owner
 }
 
 int

@@ -20,8 +20,8 @@
 #ifndef ZCOMP_MEM_CACHE_HH
 #define ZCOMP_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -156,8 +156,9 @@ class Cache
      * means "empty" or "unset" in every field. The initial RRPV and
      * LRU stamp of a way are never read: a victim is chosen only in a
      * full set, and every way of a full set was inserted. So the
-     * blocks come zeroed from calloc, and a set's host pages are not
-     * touched until the set is first used.
+     * blocks live in a fresh anonymous mapping, whose pages the kernel
+     * zero-fills on first touch: a set that is never used costs no
+     * host memory, whatever the heap has done before.
      */
     static constexpr uint32_t kDirty = 1U << 0;
     static constexpr uint32_t kPrefetched = 1U << 1;
@@ -167,10 +168,21 @@ class Cache
     static constexpr uint32_t kInsertRrpv = 2;
     static constexpr int kPresenceShift = 16;
 
-    struct FreeDeleter
+    /** An anonymous private mapping, unmapped on destruction. */
+    class ZeroPages
     {
-        // zcomp-lint: allow(raw-new) - the owner of calloc's blocks
-        void operator()(void *p) const { std::free(p); }
+      public:
+        explicit ZeroPages(size_t bytes);
+        ~ZeroPages();
+        ZeroPages(const ZeroPages &) = delete;
+        ZeroPages &operator=(const ZeroPages &) = delete;
+
+        /** Page-aligned, so every 64 B block is host-line aligned. */
+        unsigned char *data() const { return base_; }
+
+      private:
+        unsigned char *base_ = nullptr;
+        size_t bytes_ = 0;
     };
 
     static uint64_t tagOf(Addr line) { return ~line; }
@@ -216,8 +228,8 @@ class Cache
     uint64_t setMask_;
     size_t stateOff_ = 0, readyOff_ = 0, stampOff_ = 0, blockBytes_ = 0;
     uint64_t lruClock_ = 0;
-    std::unique_ptr<void, FreeDeleter> storage_;
-    unsigned char *blocks_ = nullptr;   //!< storage_ rounded up to 64 B
+    std::unique_ptr<ZeroPages> storage_;
+    unsigned char *blocks_ = nullptr;   //!< storage_->data()
 };
 
 // The lookup chain (setIndex -> find -> access/readyWait) runs

@@ -229,13 +229,14 @@ MemoryHierarchy::insertL1(int core, Addr line, bool dirty)
     auto uc = static_cast<size_t>(core);
     CacheVictim v = l1_[uc]->insert(line, dirty, false);
     if (v.valid && v.dirty) {
-        // Write back into L2 (inclusive of L1, so it must be there).
+        // Write back into L2. L1 is a subset of L2 by construction: an
+        // L2 eviction invalidates the L1 copy, and an L3
+        // back-invalidation clears both.
         l1L2Bytes_ += lineBytes;
         Cache::Slot s2 = l2_[uc]->find(v.addr);
-        if (!s2) {
-            // Defensive: racing back-invalidation removed it.
-            s2 = insertL2(core, v.addr, false, 0.0);
-        }
+        ZCOMP_CHECK(static_cast<bool>(s2),
+                    "core %d: dirty L1 victim 0x%llx is not in L2", core,
+                    static_cast<unsigned long long>(v.addr));
         l2_[uc]->access(s2, true);
     }
 }

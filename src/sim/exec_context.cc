@@ -181,10 +181,10 @@ ExecContext::run(const TracePhase &phase)
     TraceWriter *tw = TraceWriter::global();
     if (tw && tracePid_ >= 0) {
         for (size_t c = 0; c < r.coreEndTimes.size(); c++) {
-            if (c >= phase.perCore.size() || phase.perCore[c].empty())
+            if (r.coreOps[c] == 0)
                 continue;
             Json args = Json::object();
-            args["ops"] = phase.perCore[c].size();
+            args["ops"] = r.coreOps[c];
             tw->span(tracePid_, static_cast<int>(c), r.startTime,
                      r.coreEndTimes[c] - r.startTime, phase.name,
                      "sim", args);

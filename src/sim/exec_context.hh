@@ -65,7 +65,8 @@ class ExecContext
 
     /**
      * Run one phase and return its cycle/traffic delta (counters are
-     * snapshotted around the phase; cache contents persist).
+     * snapshotted around the phase; cache contents persist). A phase
+     * with cursors is consumed by the run.
      */
     RunStats run(const TracePhase &phase);
 
@@ -74,8 +75,9 @@ class ExecContext
 
     /**
      * Route subsequent run() phases to a Perfetto track group: each
-     * phase becomes one span per active core (lane = core id, ts =
-     * simulated cycles) under the given trace pid. -1 (the default)
+     * phase becomes one span per core that executed ops (lane = core
+     * id, ts = simulated cycles, args.ops = the ops it executed)
+     * under the given trace pid. -1 (the default)
      * disables emission; a null global TraceWriter also disables it.
      */
     void setTracePid(int pid) { tracePid_ = pid; }

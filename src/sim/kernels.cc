@@ -233,221 +233,278 @@ pcOf(int sub, int which)
     return static_cast<uint16_t>(1 + sub * 8 + which);
 }
 
-/** Build the store (activation) pass trace. */
-TracePhase
-buildStorePhase(const ExperimentState &st, ReluImpl impl,
-                const ReluExperimentConfig &cfg, int cores, int logic_lat)
+/**
+ * Streams one core's ops of a store or retrieve pass: vector i of
+ * every sub-block s in turn, (i, s) loop state kept between fills,
+ * with running offsets into each sub-block's compressed X and Y.
+ */
+class ReluCursor final : public OpCursor
 {
-    TracePhase phase("relu-store", cores);
-    for (int c = 0; c < cores; c++) {
-        const auto &subs = st.subs[static_cast<size_t>(c)];
-        CoreTrace &t = phase.perCore[static_cast<size_t>(c)];
+  public:
+    ReluCursor(const ExperimentState &st, ReluImpl impl, bool store,
+               bool sep, int logic_lat, int core)
+        : st_(st), subs_(st.subs[static_cast<size_t>(core)]),
+          impl_(impl), store_(store), sep_(sep),
+          logicLat_(static_cast<uint8_t>(logic_lat)),
+          xOff_(subs_.size(), 0), yOff_(subs_.size(), 0)
+    {
+        for (const auto &ss : subs_)
+            maxVecs_ = std::max(maxVecs_, ss.chunk.elems() / 16);
+    }
 
-        size_t max_vecs = 0;
-        for (const auto &ss : subs)
-            max_vecs = std::max(max_vecs, ss.chunk.elems() / 16);
-
-        std::vector<size_t> xOff(subs.size(), 0), yOff(subs.size(), 0);
-        for (size_t i = 0; i < max_vecs; i++) {
-            for (size_t s = 0; s < subs.size(); s++) {
-                const SubStream &ss = subs[s];
-                if (i >= ss.chunk.elems() / 16)
-                    continue;
-                const Chunk &sub = ss.chunk;
-                size_t gvec = sub.elemBegin / 16 + i;
-                switch (impl) {
-                  case ReluImpl::Avx512Vec: {
-                    // vmovups; vmaxps; vmovups; loop.
-                    t.push_back(TraceOp::load(
-                        st.x->addrAt(sub.regionOffset + i * 64), 64, 1,
-                        pcOf(static_cast<int>(s), 0)));
-                    t.push_back(TraceOp::store(
-                        st.y->addrAt(sub.regionOffset + i * 64), 64, 4,
-                        pcOf(static_cast<int>(s), 1)));
-                    break;
-                  }
-                  case ReluImpl::Avx512Comp: {
-                    uint32_t nx = ss.nnzX[i], ny = ss.nnzY[i];
-                    // headers[i] load (independent address).
-                    t.push_back(TraceOp::load(
-                        st.xMask->addrAt(gvec * hdrB),
-                        static_cast<uint32_t>(hdrB), 1,
-                        pcOf(static_cast<int>(s), 0)));
-                    // kmov+vexpandload+popcnt+index add.
-                    t.push_back(TraceOp::load(
-                        st.x->addrAt(sub.regionOffset + xOff[s]), nx * 4,
-                        6, pcOf(static_cast<int>(s), 1)));
-                    // vcmp+popcnt+vcompressstore+index add.
-                    t.push_back(TraceOp::store(
-                        st.y->addrAt(sub.regionOffset + yOff[s]), ny * 4,
-                        7, pcOf(static_cast<int>(s), 2)));
-                    // headers store + loop.
-                    t.push_back(TraceOp::store(
-                        st.yMask->addrAt(gvec * hdrB),
-                        static_cast<uint32_t>(hdrB), 3,
-                        pcOf(static_cast<int>(s), 3)));
-                    xOff[s] += nx * 4;
-                    yOff[s] += ny * 4;
-                    break;
-                  }
-                  case ReluImpl::Zcomp: {
-                    uint32_t nx = ss.nnzX[i], ny = ss.nnzY[i];
-                    bool sep = cfg.separateHeader;
-                    if (sep) {
-                        // Header reads/writes have statically-known
-                        // addresses (fixed reg3 stride): independent
-                        // accesses issued as part of the same
-                        // instruction (no extra uops).
-                        t.push_back(TraceOp::load(
-                            st.xMask->addrAt(gvec * hdrB),
-                            static_cast<uint32_t>(hdrB), 0,
-                            pcOf(static_cast<int>(s), 2)));
-                    }
-                    // zcompl X payload (chained via reg2; interleaved
-                    // mode also carries the header inline).
-                    TraceOp ld = TraceOp::load(
-                        st.x->addrAt(sep ? sub.regionOffset + xOff[s]
-                                         : slackOffset(sub) + xOff[s]),
-                        (sep ? 0 : static_cast<uint32_t>(hdrB)) +
-                            nx * 4,
-                        1, pcOf(static_cast<int>(s), 0));
-                    ld.stream = static_cast<int8_t>(2 * s);
-                    ld.chainLat = static_cast<uint8_t>(logic_lat);
-                    ld.zcompUnit = true;
-                    t.push_back(ld);
-                    // zcomps Y (LTEZ fused ReLU) + loop overhead.
-                    TraceOp stp = TraceOp::store(
-                        st.y->addrAt(sep ? sub.regionOffset + yOff[s]
-                                         : slackOffset(sub) + yOff[s]),
-                        (sep ? 0 : static_cast<uint32_t>(hdrB)) +
-                            ny * 4,
-                        3, pcOf(static_cast<int>(s), 1));
-                    stp.stream = static_cast<int8_t>(2 * s + 1);
-                    stp.chainLat = static_cast<uint8_t>(logic_lat);
-                    stp.zcompUnit = true;
-                    t.push_back(stp);
-                    if (sep) {
-                        TraceOp hw = TraceOp::store(
-                            st.yMask->addrAt(gvec * hdrB),
-                            static_cast<uint32_t>(hdrB), 0,
-                            pcOf(static_cast<int>(s), 3));
-                        t.push_back(hw);
-                    }
-                    xOff[s] += (sep ? 0 : hdrB) + nx * 4;
-                    yOff[s] += (sep ? 0 : hdrB) + ny * 4;
-                    break;
-                  }
-                }
+    size_t
+    fill(TraceOp *out, size_t cap) override
+    {
+        size_t n = 0;
+        // One (i, s) iteration writes at most maxIterOps ops.
+        while (i_ < maxVecs_ && n + maxIterOps <= cap) {
+            if (i_ < subs_[s_].chunk.elems() / 16)
+                n += store_ ? emitStore(out + n) : emitRetrieve(out + n);
+            if (++s_ == subs_.size()) {
+                s_ = 0;
+                i_++;
             }
         }
+        return n;
     }
-    return phase;
-}
 
-/** Build the retrieve (consumer) pass trace. */
-TracePhase
-buildRetrievePhase(const ExperimentState &st, ReluImpl impl,
-                   const ReluExperimentConfig &cfg, int cores,
-                   int logic_lat)
-{
-    TracePhase phase("relu-retrieve", cores);
-    for (int c = 0; c < cores; c++) {
-        const auto &subs = st.subs[static_cast<size_t>(c)];
-        CoreTrace &t = phase.perCore[static_cast<size_t>(c)];
+  private:
+    static constexpr size_t maxIterOps = 4;
 
-        size_t max_vecs = 0;
-        for (const auto &ss : subs)
-            max_vecs = std::max(max_vecs, ss.chunk.elems() / 16);
+    uint16_t pc(int which) const
+    {
+        return pcOf(static_cast<int>(s_), which);
+    }
 
-        std::vector<size_t> yOff(subs.size(), 0);
-        for (size_t i = 0; i < max_vecs; i++) {
-            for (size_t s = 0; s < subs.size(); s++) {
-                const SubStream &ss = subs[s];
-                if (i >= ss.chunk.elems() / 16)
-                    continue;
-                const Chunk &sub = ss.chunk;
-                size_t gvec = sub.elemBegin / 16 + i;
-                switch (impl) {
-                  case ReluImpl::Avx512Vec: {
-                    // vmovups + consume + loop.
-                    t.push_back(TraceOp::load(
-                        st.y->addrAt(sub.regionOffset + i * 64), 64, 4,
-                        pcOf(static_cast<int>(s), 4)));
-                    break;
-                  }
-                  case ReluImpl::Avx512Comp: {
-                    uint32_t ny = ss.nnzY[i];
-                    t.push_back(TraceOp::load(
-                        st.yMask->addrAt(gvec * hdrB),
-                        static_cast<uint32_t>(hdrB), 1,
-                        pcOf(static_cast<int>(s), 4)));
-                    // kmov+vexpandload+popcnt+add+consume+loop.
-                    t.push_back(TraceOp::load(
-                        st.y->addrAt(sub.regionOffset + yOff[s]), ny * 4,
-                        8, pcOf(static_cast<int>(s), 5)));
-                    yOff[s] += ny * 4;
-                    break;
-                  }
-                  case ReluImpl::Zcomp: {
-                    uint32_t ny = ss.nnzY[i];
-                    bool sep = cfg.separateHeader;
-                    if (sep) {
-                        t.push_back(TraceOp::load(
-                            st.yMask->addrAt(gvec * hdrB),
-                            static_cast<uint32_t>(hdrB), 0,
-                            pcOf(static_cast<int>(s), 5)));
-                    }
-                    // zcompl + consume + loop.
-                    TraceOp ld = TraceOp::load(
-                        st.y->addrAt(sep ? sub.regionOffset + yOff[s]
-                                         : slackOffset(sub) + yOff[s]),
-                        (sep ? 0 : static_cast<uint32_t>(hdrB)) +
-                            ny * 4,
-                        4, pcOf(static_cast<int>(s), 4));
-                    ld.stream = static_cast<int8_t>(2 * s);
-                    ld.chainLat = static_cast<uint8_t>(logic_lat);
-                    ld.zcompUnit = true;
-                    t.push_back(ld);
-                    yOff[s] += (sep ? 0 : hdrB) + ny * 4;
-                    break;
-                  }
-                }
+    /** zcompl/zcomps op on stream @p stream (fused logic unit). */
+    TraceOp
+    chained(TraceOp op, size_t stream) const
+    {
+        op.stream = static_cast<int8_t>(stream);
+        op.chainLat = logicLat_;
+        op.zcompUnit = true;
+        return op;
+    }
+
+    /** The store (activation) pass: read X, write relu(X) to Y. */
+    size_t
+    emitStore(TraceOp *out)
+    {
+        const SubStream &ss = subs_[s_];
+        const Chunk &sub = ss.chunk;
+        const size_t i = i_, s = s_;
+        const size_t gvec = sub.elemBegin / 16 + i;
+        TraceOp *t = out;
+        switch (impl_) {
+          case ReluImpl::Avx512Vec: {
+            // vmovups; vmaxps; vmovups; loop.
+            *t++ = TraceOp::load(st_.x->addrAt(sub.regionOffset + i * 64),
+                                 64, 1, pc(0));
+            *t++ = TraceOp::store(
+                st_.y->addrAt(sub.regionOffset + i * 64), 64, 4, pc(1));
+            break;
+          }
+          case ReluImpl::Avx512Comp: {
+            uint32_t nx = ss.nnzX[i], ny = ss.nnzY[i];
+            // headers[i] load (independent address).
+            *t++ = TraceOp::load(st_.xMask->addrAt(gvec * hdrB),
+                                 static_cast<uint32_t>(hdrB), 1, pc(0));
+            // kmov+vexpandload+popcnt+index add.
+            *t++ = TraceOp::load(
+                st_.x->addrAt(sub.regionOffset + xOff_[s]), nx * 4, 6,
+                pc(1));
+            // vcmp+popcnt+vcompressstore+index add.
+            *t++ = TraceOp::store(
+                st_.y->addrAt(sub.regionOffset + yOff_[s]), ny * 4, 7,
+                pc(2));
+            // headers store + loop.
+            *t++ = TraceOp::store(st_.yMask->addrAt(gvec * hdrB),
+                                  static_cast<uint32_t>(hdrB), 3, pc(3));
+            xOff_[s] += nx * 4;
+            yOff_[s] += ny * 4;
+            break;
+          }
+          case ReluImpl::Zcomp: {
+            uint32_t nx = ss.nnzX[i], ny = ss.nnzY[i];
+            if (sep_) {
+                // Header reads/writes have statically-known addresses
+                // (fixed reg3 stride): independent accesses issued as
+                // part of the same instruction (no extra uops).
+                *t++ = TraceOp::load(st_.xMask->addrAt(gvec * hdrB),
+                                     static_cast<uint32_t>(hdrB), 0,
+                                     pc(2));
             }
+            // zcompl X payload (chained via reg2; interleaved mode
+            // also carries the header inline).
+            *t++ = chained(
+                TraceOp::load(st_.x->addrAt(windowOffset(sub) + xOff_[s]),
+                              inlineHdr() + nx * 4, 1, pc(0)),
+                2 * s);
+            // zcomps Y (LTEZ fused ReLU) + loop overhead.
+            *t++ = chained(
+                TraceOp::store(
+                    st_.y->addrAt(windowOffset(sub) + yOff_[s]),
+                    inlineHdr() + ny * 4, 3, pc(1)),
+                2 * s + 1);
+            if (sep_) {
+                *t++ = TraceOp::store(st_.yMask->addrAt(gvec * hdrB),
+                                      static_cast<uint32_t>(hdrB), 0,
+                                      pc(3));
+            }
+            xOff_[s] += inlineHdr() + nx * 4;
+            yOff_[s] += inlineHdr() + ny * 4;
+            break;
+          }
         }
+        return static_cast<size_t>(t - out);
     }
-    return phase;
-}
+
+    /** The retrieve pass: the consuming layer reads Y back. */
+    size_t
+    emitRetrieve(TraceOp *out)
+    {
+        const SubStream &ss = subs_[s_];
+        const Chunk &sub = ss.chunk;
+        const size_t i = i_, s = s_;
+        const size_t gvec = sub.elemBegin / 16 + i;
+        TraceOp *t = out;
+        switch (impl_) {
+          case ReluImpl::Avx512Vec: {
+            // vmovups + consume + loop.
+            *t++ = TraceOp::load(st_.y->addrAt(sub.regionOffset + i * 64),
+                                 64, 4, pc(4));
+            break;
+          }
+          case ReluImpl::Avx512Comp: {
+            uint32_t ny = ss.nnzY[i];
+            *t++ = TraceOp::load(st_.yMask->addrAt(gvec * hdrB),
+                                 static_cast<uint32_t>(hdrB), 1, pc(4));
+            // kmov+vexpandload+popcnt+add+consume+loop.
+            *t++ = TraceOp::load(
+                st_.y->addrAt(sub.regionOffset + yOff_[s]), ny * 4, 8,
+                pc(5));
+            yOff_[s] += ny * 4;
+            break;
+          }
+          case ReluImpl::Zcomp: {
+            uint32_t ny = ss.nnzY[i];
+            if (sep_) {
+                *t++ = TraceOp::load(st_.yMask->addrAt(gvec * hdrB),
+                                     static_cast<uint32_t>(hdrB), 0,
+                                     pc(5));
+            }
+            // zcompl + consume + loop.
+            *t++ = chained(
+                TraceOp::load(st_.y->addrAt(windowOffset(sub) + yOff_[s]),
+                              inlineHdr() + ny * 4, 4, pc(4)),
+                2 * s);
+            yOff_[s] += inlineHdr() + ny * 4;
+            break;
+          }
+        }
+        return static_cast<size_t>(t - out);
+    }
+
+    /** zcomp stream window: payload-only with separate headers. */
+    size_t
+    windowOffset(const Chunk &sub) const
+    {
+        return sep_ ? sub.regionOffset : slackOffset(sub);
+    }
+
+    /** zcomp header bytes carried inline with each vector. */
+    uint32_t
+    inlineHdr() const
+    {
+        return sep_ ? 0 : static_cast<uint32_t>(hdrB);
+    }
+
+    const ExperimentState &st_;
+    const std::vector<SubStream> &subs_;
+    ReluImpl impl_;
+    bool store_;
+    bool sep_;
+    uint8_t logicLat_;
+    size_t maxVecs_ = 0;
+    size_t i_ = 0;
+    size_t s_ = 0;
+    std::vector<size_t> xOff_, yOff_;
+};
 
 } // namespace
+
+struct ReluExperiment::State : ExperimentState
+{
+};
+
+ReluExperiment::ReluExperiment(ExecContext &ctx, ReluImpl impl,
+                               const ReluExperimentConfig &cfg)
+    : impl_(impl), sep_(cfg.separateHeader),
+      cores_(ctx.config().numCores),
+      logicLat_(ctx.config().zcomp.logicLatency)
+{
+    // See NetworkSim::run(): fault before any state is prepared.
+    FaultInjector::global().maybeInject(faultsite::KernelTransient);
+    st_ = std::make_unique<State>(State{prepare(ctx, impl, cfg)});
+}
+
+ReluExperiment::~ReluExperiment() = default;
+
+TracePhase
+ReluExperiment::phase(const char *name, bool store) const
+{
+    TracePhase p(name, 0);
+    for (int c = 0; c < cores_; c++) {
+        p.cursors.push_back(std::make_unique<ReluCursor>(
+            *st_, impl_, store, sep_, logicLat_, c));
+    }
+    return p;
+}
+
+TracePhase
+ReluExperiment::storePhase() const
+{
+    return phase("relu-store", true);
+}
+
+TracePhase
+ReluExperiment::retrievePhase() const
+{
+    return phase("relu-retrieve", false);
+}
+
+const StreamStats &
+ReluExperiment::xStream() const
+{
+    return st_->xStream;
+}
+
+const StreamStats &
+ReluExperiment::yStream() const
+{
+    return st_->yStream;
+}
 
 ReluExperimentResult
 runReluExperiment(ExecContext &ctx, ReluImpl impl,
                   const ReluExperimentConfig &cfg)
 {
-    const int cores = ctx.config().numCores;
-    const int logic_lat = ctx.config().zcomp.logicLatency;
+    const ReluExperiment exp(ctx, impl, cfg);
 
-    // See NetworkSim::run(): fault before any state is prepared.
-    FaultInjector::global().maybeInject(faultsite::KernelTransient);
-
-    ExperimentState st = prepare(ctx, impl, cfg);
-    TracePhase store = buildStorePhase(st, impl, cfg, cores, logic_lat);
-    TracePhase retrieve =
-        buildRetrievePhase(st, impl, cfg, cores, logic_lat);
-
+    // Cursors are consumed by one run: every pass gets fresh ones.
     if (cfg.warmup) {
-        ctx.warm(store);
-        ctx.warm(retrieve);
+        ctx.warm(exp.storePhase());
+        ctx.warm(exp.retrievePhase());
     }
 
     ReluExperimentResult res;
     int repeats = std::max(1, cfg.repeats);
     for (int rep = 0; rep < repeats; rep++) {
-        res.store += ctx.run(store);
-        res.retrieve += ctx.run(retrieve);
+        res.store += ctx.run(exp.storePhase());
+        res.retrieve += ctx.run(exp.retrievePhase());
     }
-    res.xStream = st.xStream;
-    res.yStream = st.yStream;
+    res.xStream = exp.xStream();
+    res.yStream = exp.yStream();
     return res;
 }
 

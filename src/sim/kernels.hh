@@ -20,8 +20,8 @@
  * exactly as a mid-network layer would see it.
  *
  * Every kernel executes functionally on host memory (values are
- * checked in tests) and emits a compact per-core trace replayed by the
- * timing model. Parallelization uses the partitioned-chunk strategy of
+ * checked in tests) and streams per-core trace ops, through cursors,
+ * into the timing model. Parallelization uses the partitioned-chunk strategy of
  * Section 4.3 with `subBlocks` independent streams per thread
  * (sub-block unrolling), matching the compiler unrolling of the
  * baseline.
@@ -29,6 +29,8 @@
 
 #ifndef ZCOMP_SIM_KERNELS_HH
 #define ZCOMP_SIM_KERNELS_HH
+
+#include <memory>
 
 #include "isa/latency.hh"
 #include "sim/exec_context.hh"
@@ -78,6 +80,40 @@ struct ReluExperimentResult
         t += retrieve;
         return t;
     }
+};
+
+/**
+ * One ReLU experiment's functional pass, run on construction, and the
+ * trace phases its timing pass replays. Each phase call returns fresh
+ * per-core cursors over the prepared state, because a cursor is
+ * consumed by the one run that drains it.
+ */
+class ReluExperiment
+{
+  public:
+    ReluExperiment(ExecContext &ctx, ReluImpl impl,
+                   const ReluExperimentConfig &cfg);
+    ~ReluExperiment();
+
+    /** Read X, apply ReLU, write Y. */
+    TracePhase storePhase() const;
+
+    /** The consuming layer reads Y back. */
+    TracePhase retrievePhase() const;
+
+    const StreamStats &xStream() const;
+    const StreamStats &yStream() const;
+
+  private:
+    struct State;
+
+    TracePhase phase(const char *name, bool store) const;
+
+    ReluImpl impl_;
+    bool sep_;
+    int cores_;
+    int logicLat_;
+    std::unique_ptr<const State> st_;
 };
 
 /** Run the two-pass ReLU experiment with the given implementation. */

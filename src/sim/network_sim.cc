@@ -9,6 +9,7 @@
 #include "common/trace_writer.hh"
 #include "dnn/layers/conv.hh"
 #include "dnn/layers/fc.hh"
+#include "sim/pass_builder.hh"
 
 namespace zcomp {
 
@@ -44,20 +45,8 @@ ioPolicyFromName(const std::string &name, IoPolicy &out)
 
 namespace {
 
-constexpr uint64_t hdrB = 2;            //!< fp32 header/mask bytes
+constexpr uint64_t hdrB = PassBuilder::hdrBytes;
 constexpr size_t scratchBytes = 128 * KiB;  //!< per-core pack buffer
-
-/** One tensor's role in a streaming pass. */
-struct StreamSpec
-{
-    const Tensor *tensor = nullptr;
-    Buffer *mask = nullptr;     //!< avx512-comp header array (or null)
-    const uint16_t *nnz = nullptr;  //!< memoized per-vector nonzeros
-    bool write = false;
-    bool fusedLtez = false;     //!< zcomps does the ReLU comparison
-    bool compress = false;      //!< this tensor moves compressed
-    int extraUops = 0;          //!< layer compute attached per vector
-};
 
 /** Whether a tensor is cross-layer data the policy may compress. */
 bool
@@ -74,273 +63,6 @@ isCrossLayer(const Tensor &t)
  * therefore move uncompressed under every policy.
  */
 constexpr double minSparsityToCompress = 0.05;
-
-/** Count non-zero fp32 lanes in one vector of a tensor. */
-uint32_t
-vecNnz(const Tensor &t, size_t vec)
-{
-    const float *d = t.data() + vec * 16;
-    uint32_t n = 0;
-    for (int i = 0; i < 16; i++)
-        n += d[i] != 0.0f;
-    return n;
-}
-
-/**
- * Builds one barrier-delimited TracePhase for a layer pass and runs
- * it. Streams are partitioned over cores and sub-blocks; compressed
- * streams replay exact per-vector sizes scanned from tensor values.
- */
-class PassBuilder
-{
-  public:
-    PassBuilder(ExecContext &ctx, const NetworkSimConfig &cfg,
-                std::string name, MetricsSampler *sampler = nullptr)
-        : ctx_(ctx), cfg_(cfg),
-          phase_(std::move(name), ctx.config().numCores),
-          cores_(ctx.config().numCores),
-          logicLat_(static_cast<uint8_t>(
-              ctx.config().zcomp.logicLatency)),
-          sampler_(sampler)
-    {}
-
-    /** Emit an interleaved streaming pass over the given tensors. */
-    void
-    stream(const std::vector<StreamSpec> &specs)
-    {
-        int subs = std::max(
-            1, std::min(cfg_.subBlocks,
-                        CoreModel::maxStreams /
-                            std::max<int>(1, specs.size())));
-        // Static compression ratio of this pass's streams, for the
-        // sampler's live per-layer metric. Only paid when a sampler
-        // exists (--metrics); the per-vector sizes are the memoized
-        // nnz counts the emit loop replays anyway.
-        if (sampler_) {
-            for (const StreamSpec &spec : specs) {
-                size_t vecs = spec.tensor->elems() / 16;
-                uint64_t orig = static_cast<uint64_t>(vecs) * 64;
-                uint64_t comp = orig;
-                if (spec.compress) {
-                    uint64_t payload = 0;
-                    for (size_t v = 0; v < vecs; v++)
-                        payload += spec.nnz
-                                       ? spec.nnz[v]
-                                       : vecNnz(*spec.tensor, v);
-                    comp = vecs * hdrB + payload * 4;
-                }
-                origBytes_ += orig;
-                compBytes_ += comp;
-            }
-        }
-        for (int c = 0; c < cores_; c++)
-            emitCore(c, specs, subs);
-    }
-
-    /**
-     * Emit a blocked-GEMM compute pass, partitioned over the panel
-     * (output-channel / N-K) dimension: each core owns a disjoint
-     * 1/cores slice of the weight panel and walks *all* m_rows
-     * against it, re-reading its slice once per `gemmBlockRows` rows.
-     * This is how library GEMMs parallelize when M is small (batch-
-     * sized FC layers read the weights exactly once in total) and is
-     * traffic-equivalent to M-partitioning when M is large; per-core
-     * slices also stay L2-resident across panel re-reads.
-     *
-     * Issue uops charge 2 per 16-lane FMA (32 MACs/cycle/core peak).
-     * Total MACs = m_rows * panel_bytes / 4.
-     */
-    void
-    gemmCompute(Addr panel_base, uint64_t panel_bytes, uint64_t m_rows)
-    {
-        if (panel_bytes == 0 || m_rows == 0)
-            return;
-        if (sampler_) {
-            // Weight panels always move uncompressed: ratio 1.
-            origBytes_ += panel_bytes;
-            compBytes_ += panel_bytes;
-        }
-        uint64_t lines = divCeil(panel_bytes, lineBytes);
-        for (int c = 0; c < cores_; c++) {
-            uint64_t line_begin =
-                lines * static_cast<uint64_t>(c) /
-                static_cast<uint64_t>(cores_);
-            uint64_t line_end =
-                lines * (static_cast<uint64_t>(c) + 1) /
-                static_cast<uint64_t>(cores_);
-            if (line_begin == line_end)
-                continue;
-            CoreTrace &t = phase_.perCore[static_cast<size_t>(c)];
-            uint64_t done = 0;
-            while (done < m_rows) {
-                uint64_t panel_rows = std::min<uint64_t>(
-                    m_rows - done, cfg_.gemmBlockRows);
-                // 2 uops per 16-lane FMA, panel_rows FMAs per line.
-                uint16_t uops = static_cast<uint16_t>(
-                    std::min<uint64_t>(2 * panel_rows, 60000));
-                for (uint64_t l = line_begin; l < line_end; l++) {
-                    t.push_back(TraceOp::load(
-                        panel_base + l * lineBytes, lineBytes, uops,
-                        /*pc=*/200));
-                }
-                done += panel_rows;
-            }
-        }
-    }
-
-    RunStats
-    run()
-    {
-        if (sampler_) {
-            sampler_->setLayerContext(
-                phase_.name,
-                compBytes_ > 0 ? static_cast<double>(origBytes_) /
-                                     static_cast<double>(compBytes_)
-                               : 1.0);
-        }
-        return ctx_.run(phase_);
-    }
-
-  private:
-    struct StreamState
-    {
-        size_t vecBegin = 0;
-        size_t vecCount = 0;
-        size_t byteOff = 0;     //!< running offset within the window
-        Addr base = 0;          //!< window base (simulated address)
-        Addr maskBase = 0;
-    };
-
-    void
-    emitCore(int core, const std::vector<StreamSpec> &specs, int subs)
-    {
-        CoreTrace &t = phase_.perCore[static_cast<size_t>(core)];
-        // Per (spec, sub) stream state.
-        std::vector<std::vector<StreamState>> st(specs.size());
-        size_t max_count = 0;
-        for (size_t s = 0; s < specs.size(); s++) {
-            const Tensor &ten = *specs[s].tensor;
-            size_t vecs = ten.elems() / 16;
-            size_t core_begin = vecs * static_cast<size_t>(core) /
-                                static_cast<size_t>(cores_);
-            size_t core_end = vecs * (static_cast<size_t>(core) + 1) /
-                              static_cast<size_t>(cores_);
-            st[s].resize(static_cast<size_t>(subs));
-            for (int k = 0; k < subs; k++) {
-                StreamState &ss = st[s][static_cast<size_t>(k)];
-                size_t b = core_begin + (core_end - core_begin) *
-                                            static_cast<size_t>(k) /
-                                            static_cast<size_t>(subs);
-                size_t e = core_begin + (core_end - core_begin) *
-                                            (static_cast<size_t>(k) +
-                                             1) /
-                                            static_cast<size_t>(subs);
-                ss.vecBegin = b;
-                ss.vecCount = e - b;
-                // Compressed streams live in the original allocation
-                // window of their slice (Section 4.1).
-                ss.base = specs[s].tensor->addrAt(b * 16);
-                if (specs[s].mask)
-                    ss.maskBase = specs[s].mask->addrAt(b * hdrB);
-                max_count = std::max(max_count, ss.vecCount);
-            }
-        }
-
-        for (size_t g = 0; g < max_count; g++) {
-            for (int k = 0; k < subs; k++) {
-                for (size_t s = 0; s < specs.size(); s++) {
-                    StreamState &ss = st[s][static_cast<size_t>(k)];
-                    if (g >= ss.vecCount)
-                        continue;
-                    const StreamSpec &spec = specs[s];
-                    bool comp = spec.compress;
-                    size_t vec = ss.vecBegin + g;
-                    int stream_id =
-                        static_cast<int>(s) * subs + k;
-                    emitVec(t, spec, ss, vec, comp, stream_id);
-                }
-            }
-        }
-
-        // Tail elements (tensor size not a multiple of 16): one plain
-        // access on core 0.
-        if (core == 0) {
-            for (const StreamSpec &spec : specs) {
-                size_t tail = spec.tensor->elems() % 16;
-                if (tail == 0)
-                    continue;
-                size_t off = spec.tensor->elems() - tail;
-                TraceOp op = TraceOp::load(
-                    spec.tensor->addrAt(off),
-                    static_cast<uint32_t>(tail * 4), 2, 99);
-                op.isWrite = spec.write;
-                t.push_back(op);
-            }
-        }
-    }
-
-    void
-    emitVec(CoreTrace &t, const StreamSpec &spec, StreamState &ss,
-            size_t vec, bool comp, int stream_id)
-    {
-        if (!comp) {
-            // Plain AVX512 vector move.
-            TraceOp op = TraceOp::load(
-                spec.tensor->addrAt(vec * 16), 64,
-                static_cast<uint16_t>(1 + spec.extraUops +
-                                      (spec.write ? 1 : 0)),
-                static_cast<uint16_t>(1 + stream_id));
-            op.isWrite = spec.write;
-            t.push_back(op);
-            return;
-        }
-
-        uint32_t nnz = spec.nnz ? spec.nnz[vec]
-                                : vecNnz(*spec.tensor, vec);
-        if (cfg_.policy == IoPolicy::Zcomp) {
-            TraceOp op = TraceOp::load(
-                ss.base + ss.byteOff,
-                static_cast<uint32_t>(hdrB) + nnz * 4,
-                static_cast<uint16_t>(
-                    1 + spec.extraUops +
-                    (spec.fusedLtez ? 0 : (spec.write ? 1 : 0))),
-                static_cast<uint16_t>(1 + stream_id));
-            op.isWrite = spec.write;
-            op.stream = static_cast<int8_t>(stream_id %
-                                            CoreModel::maxStreams);
-            op.chainLat = logicLat_;
-            op.zcompUnit = true;
-            t.push_back(op);
-            ss.byteOff += hdrB + nnz * 4;
-            return;
-        }
-
-        // Avx512Comp: separate mask array + packed payload.
-        TraceOp mask_op = TraceOp::load(
-            ss.maskBase + (vec - ss.vecBegin) * hdrB,
-            static_cast<uint32_t>(hdrB), 1,
-            static_cast<uint16_t>(64 + stream_id));
-        mask_op.isWrite = spec.write;
-        t.push_back(mask_op);
-        TraceOp data_op = TraceOp::load(
-            ss.base + ss.byteOff, nnz * 4,
-            static_cast<uint16_t>((spec.write ? 8 : 6) +
-                                  spec.extraUops),
-            static_cast<uint16_t>(1 + stream_id));
-        data_op.isWrite = spec.write;
-        t.push_back(data_op);
-        ss.byteOff += nnz * 4;
-    }
-
-    ExecContext &ctx_;
-    const NetworkSimConfig &cfg_;
-    TracePhase phase_;
-    int cores_;
-    uint8_t logicLat_;
-    MetricsSampler *sampler_;
-    uint64_t origBytes_ = 0;    //!< pass bytes before compression
-    uint64_t compBytes_ = 0;    //!< pass bytes as the policy moves them
-};
 
 /** Per-vector compute uops attached to a layer's streaming pass. */
 int
@@ -623,7 +345,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                      compressible(out);
         specs.push_back(spec(node, false, true, fused, fused ? 0 : 1));
         PassBuilder pb(ctx_, cfg, n.layer->name(), sampler.get());
-        pb.stream(specs);
+        pb.stream(std::move(specs));
         record(n.layer->name(), false, pb.run());
     }
 
@@ -691,7 +413,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
                         spec(n.inputs[0], false, false, false, 0));
                 }
                 dx_specs.push_back(spec(dx_node, true, true, false, 1));
-                pb.stream(dx_specs);
+                pb.stream(std::move(dx_specs));
                 record(n.layer->name() + ".dx", true, pb.run());
             }
             continue;
@@ -712,7 +434,7 @@ NetworkSim::run(const NetworkSimConfig &cfg)
         }
         PassBuilder pb(ctx_, cfg, n.layer->name() + ".bwd",
                                sampler.get());
-        pb.stream(specs);
+        pb.stream(std::move(specs));
         record(n.layer->name() + ".bwd", true, pb.run());
     }
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
+#include "common/rng.hh"
 #include "mem/hierarchy.hh"
 
 using namespace zcomp;
@@ -24,6 +29,16 @@ smallCfg()
     cfg.prefetch.l1IpStride = false;
     cfg.prefetch.l2Stream = false;
     return cfg;
+}
+
+/** This process's resident set, in bytes, from /proc/self/statm. */
+int64_t
+residentBytes()
+{
+    std::ifstream in("/proc/self/statm");
+    int64_t size = 0, resident = 0;
+    in >> size >> resident;
+    return resident * static_cast<int64_t>(sysconf(_SC_PAGESIZE));
 }
 
 } // namespace
@@ -334,4 +349,59 @@ TEST(Hierarchy, DumpStatsStandalone)
     EXPECT_EQ(g.findCounter("links.core_l1_bytes")->value(), 64u);
     ASSERT_NE(g.findCounter("l1_0.misses"), nullptr);
     EXPECT_EQ(g.findCounter("l1_0.misses")->value(), 1u);
+}
+
+TEST(Hierarchy, BackInvalidationsKeepL1InsideL2)
+{
+    // Four cores write and read a shared footprint eight times the
+    // L3, which is itself smaller than the four L2s together: L3
+    // victims keep back-invalidating dirty private copies while dirty
+    // L1 victims keep writing back into L2. insertL1 checks that each
+    // such writeback finds its line in L2 (L1 is a subset of L2), and
+    // aborts otherwise.
+    ArchConfig cfg = smallCfg();
+    cfg.l3.size = 16 * KiB;
+    cfg.prefetch.l1IpStride = true;
+    cfg.prefetch.l2Stream = true;
+    MemoryHierarchy mem(cfg);
+    Rng rng(5);
+    double t = 0;
+    for (int i = 0; i < 200000; i++) {
+        auto core = static_cast<int>(rng.below(4));
+        Addr line = 0x800000 + rng.below(2048) * 64;
+        mem.access(core, line, 64, rng.below(2) == 0, t,
+                   static_cast<uint32_t>(1 + core));
+        t += 5.0;
+    }
+    mem.checkInvariants();
+
+    StatGroup g("mem");
+    mem.dumpStats(g);
+    uint64_t l2_invalidations = 0, l1_writebacks = 0;
+    for (int c = 0; c < cfg.numCores; c++) {
+        l2_invalidations +=
+            g.findCounter(format("l2_%d.invalidations", c))->value();
+        l1_writebacks +=
+            g.findCounter(format("l1_%d.writebacks", c))->value();
+    }
+    // Only an L3 back-invalidation removes a line from an L2.
+    EXPECT_GT(l2_invalidations, 10000u);
+    EXPECT_GT(l1_writebacks, 10000u);
+}
+
+TEST(Hierarchy, UntouchedMetadataCostsNoResidentMemory)
+{
+    // Churn the heap first, so any metadata allocated from recycled
+    // heap chunks would have to be zeroed - made resident - up front.
+    for (int i = 0; i < 10; i++)
+        MemoryHierarchy churn{ArchConfig{}};
+    const int64_t before = residentBytes();
+    std::vector<std::unique_ptr<MemoryHierarchy>> held;
+    for (int i = 0; i < 9; i++)
+        held.push_back(std::make_unique<MemoryHierarchy>(ArchConfig{}));
+    const int64_t grown = residentBytes() - before;
+    // Each hierarchy maps about 14 MB of cache metadata; none of it
+    // has been touched.
+    EXPECT_LT(grown, int64_t{3} << 20)
+        << "nine idle hierarchies grew RSS by " << grown << " bytes";
 }

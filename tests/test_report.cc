@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -9,7 +10,13 @@
 #include "bench/bench_common.hh"
 #include "common/report.hh"
 #include "common/stats.hh"
+#include "common/trace_writer.hh"
+#include "dnn/layers/activation.hh"
+#include "dnn/layers/conv.hh"
+#include "dnn/layers/fc.hh"
+#include "dnn/layers/pool.hh"
 #include "sim/exec_context.hh"
+#include "sim/network_sim.hh"
 
 using namespace zcomp;
 using namespace zcomp::bench;
@@ -221,4 +228,58 @@ TEST(RunReport, ExecRunDeltaMatchesStatsTree)
     EXPECT_EQ(j.find("traffic")->find("nocHops")->asUint(),
               counter("mem.noc.hops") - hops_before);
     EXPECT_DOUBLE_EQ(j.find("cycles")->asDouble(), r.cycles);
+}
+
+/**
+ * Each simulated layer pass becomes one Perfetto span per core that
+ * executed ops, and the span's "ops" argument is what that core
+ * executed. Under the uncompressed policy, with no tensor a partial
+ * vector, every op moves exactly 64 B, so a pass's ops are its
+ * core-L1 bytes / 64.
+ */
+TEST(RunReport, NetworkSimSpansCountExecutedOps)
+{
+    TempPath tmp("test_report_sim_spans.json");
+    TraceWriter::enableGlobal(tmp.path);
+    ArchConfig cfg;
+    cfg.numCores = 4;
+    ExecContext ctx(cfg);
+    Network net("spans", ctx.vs(), TensorShape{2, 16, 8, 8});
+    net.add(std::make_unique<ConvLayer>("conv1", 16, 3, 3, 1, 1));
+    net.add(std::make_unique<ReluLayer>("relu1"));
+    net.add(std::make_unique<PoolLayer>("pool1", LayerKind::MaxPool, 2,
+                                        2));
+    net.add(std::make_unique<FcLayer>("fc", 8));
+    net.build(false, 3);
+    Rng rng(4);
+    net.fillSyntheticInput(rng);
+    net.forward();
+    NetworkSim sim(ctx, net);
+    NetworkSimConfig nc;
+    nc.policy = IoPolicy::Uncompressed;
+    const NetworkSimResult res = sim.run(nc);
+
+    std::map<std::string, uint64_t> span_ops;
+    std::map<std::string, int> spans;
+    for (const TraceWriter::Event &ev :
+         TraceWriter::global()->snapshotEvents()) {
+        if (ev.cat != "sim" || ev.ph != 'X')
+            continue;
+        const uint64_t ops = Json::parse(ev.args).find("ops")->asUint();
+        EXPECT_GT(ops, 0u) << ev.name << " core " << ev.tid;
+        span_ops[ev.name] += ops;
+        spans[ev.name]++;
+    }
+    TraceWriter::finishGlobal();
+
+    ASSERT_EQ(spans.size(), res.layers.size());
+    for (const LayerPassStats &pass : res.layers) {
+        const uint64_t bytes = pass.stats.traffic.coreL1Bytes;
+        ASSERT_EQ(bytes % 64, 0u) << pass.name;
+        EXPECT_EQ(span_ops[pass.name], bytes / 64) << pass.name;
+        EXPECT_LE(spans[pass.name], cfg.numCores) << pass.name;
+    }
+    // The fc GEMM walks 8 x 256 fp32 weights = 128 panel lines, 32 per
+    // core: all four cores run ops.
+    EXPECT_EQ(spans["fc.gemm"], cfg.numCores);
 }

@@ -15,10 +15,11 @@ stat-names          within a file, the same receiver must not register
                     two stats with the same name (addCounter /
                     addHistogram) - duplicate names silently shadow
                     each other in reports.
-raw-new             no raw `new` / `delete`, and no C allocation
-                    (malloc/calloc/realloc/aligned_alloc/free), outside
-                    explicitly annotated ownership-handoff sites;
-                    everything else uses containers or smart pointers.
+raw-new             no raw `new` / `delete`, no C allocation
+                    (malloc/calloc/realloc/aligned_alloc/free) and no
+                    raw mmap/munmap, outside explicitly annotated
+                    ownership-handoff sites; everything else uses
+                    containers, smart pointers or an RAII owner.
 rng                 no rand()/srand()/std::mt19937/... - all
                     randomness flows through common/rng.hh so studies
                     stay reproducible and seedable.
@@ -317,7 +318,8 @@ def check_stat_names(root, findings):
 
 NEW_RE = re.compile(r"(?<![\w.])new\s+[A-Za-z_(]")
 C_ALLOC_RE = re.compile(
-    r"(?<![\w.>])(malloc|calloc|realloc|aligned_alloc|free)\s*\(")
+    r"(?<![\w.>])(malloc|calloc|realloc|aligned_alloc|free|mmap|munmap)"
+    r"\s*\(")
 DELETE_RE = re.compile(r"(?<![\w.=])\bdelete\b(?!\s*[;,)\]]*\s*$|\s*\[)")
 
 
@@ -753,7 +755,8 @@ def self_test():
     with tempfile.TemporaryDirectory() as root:
         write(os.path.join(root, "src", "CMakeLists.txt"),
               "add_library(x STATIC clean.cc dup_stats.cc raw_new.cc\n"
-              "    c_alloc.cc bad_rng.cc annotated.cc catch_swallow.cc\n"
+              "    c_alloc.cc raw_mmap.cc bad_rng.cc annotated.cc\n"
+              "    catch_swallow.cc\n"
               "    stray_intrin.cc metrics_probe.cc common/simd.cc\n"
               "    raw_mutex.cc wall_clock.cc raw_rand.cc\n"
               "    unordered_iter.cc cachecomp/scheme_good.cc\n"
@@ -796,6 +799,14 @@ def self_test():
               "void h(Pool &pool) { pool.free(x); pool->malloc(8); }\n"
               "// zcomp-lint: allow(raw-new)\n"
               "void *e = calloc(1, 8);\n")
+        write(os.path.join(root, "src", "raw_mmap.cc"),
+              "void *m = mmap(nullptr, n, 3, 0x22, -1, 0);\n"
+              "void u(void *p) { ::munmap(p, n); }\n"
+              "void v(Region &r) { r.mmap(n); r->munmap(p, n); }\n"
+              "// zcomp-lint: allow(raw-new)\n"
+              "void *w = mmap(nullptr, n, 3, 0x22, -1, 0);\n"
+              "void x(void *p) { munmap(p, n); } "
+              "// zcomp-lint: allow(raw-new)\n")
         write(os.path.join(root, "src", "bad_rng.cc"),
               "#include <random>\n"
               "std::mt19937 gen;\n"
@@ -934,6 +945,8 @@ def self_test():
             ("raw-new", "src/c_alloc.cc", 3),
             ("raw-new", "src/c_alloc.cc", 4),
             ("raw-new", "src/c_alloc.cc", 5),
+            ("raw-new", "src/raw_mmap.cc", 1),
+            ("raw-new", "src/raw_mmap.cc", 2),
             ("rng", "src/bad_rng.cc", 2),
             ("rng", "src/bad_rng.cc", 3),
             ("catch-swallow", "src/catch_swallow.cc", 2),
